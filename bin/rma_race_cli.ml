@@ -676,10 +676,19 @@ let serve_cmd =
       | None, Some p -> D.Tcp p
       | None, None -> D.Tcp 0
     in
-    let daemon = D.create ~config:{ D.addr; max_sessions; accept_queue } () in
-    let stop _ = D.request_stop daemon in
+    (* The handlers go in before [D.create] prints the port line: a
+       caller may signal as soon as it reads that line, and the daemon
+       must still stop cleanly and print its stats. A signal that lands
+       before the daemon exists is remembered and honoured once it does. *)
+    let running = ref None and stopped_early = ref false in
+    let stop _ =
+      match !running with Some d -> D.request_stop d | None -> stopped_early := true
+    in
     Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
     Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
+    let daemon = D.create ~config:{ D.addr; max_sessions; accept_queue } () in
+    running := Some daemon;
+    if !stopped_early then D.request_stop daemon;
     (match D.address daemon with
     | D.Tcp p -> Printf.printf "serving on 127.0.0.1:%d (max %d sessions, queue %d)\n%!" p max_sessions accept_queue
     | D.Unix_path path ->

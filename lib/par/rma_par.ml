@@ -5,7 +5,8 @@ let obs_shard_inserts =
   Obs.counter ~help:"Work items routed to shard queues" "par.shard_inserts"
 
 let obs_queue_depth =
-  Obs.histogram ~unit_:"items" ~help:"Shard queue depth sampled at each submit" "par.queue_depth"
+  Obs.histogram ~unit_:"items" ~help:"Shard tasks in flight, sampled at each batch hand-off"
+    "par.queue_depth"
 
 let obs_barrier_wait_ns =
   Obs.histogram ~unit_:"ns" ~help:"Wall time the caller waited at each epoch barrier"
@@ -140,6 +141,10 @@ type shard = {
          barrier to emit one "shard work" span per inter-barrier
          window. *)
   mutable win_t1 : float;
+  mutable batch : (unit -> unit) list;
+      (* Caller-thread only: tasks submitted but not yet handed to the
+         worker, newest first; [batch_len] counts them. *)
+  mutable batch_len : int;
 }
 
 type recovery_stats = { crashes : int; recoveries : int; fallbacks : int; overflows : int }
@@ -184,6 +189,8 @@ let create ?jobs ?(queue_capacity = 1024) () =
             journal = Queue.create ();
             win_t0 = 0.0;
             win_t1 = 0.0;
+            batch = [];
+            batch_len = 0;
           });
     pend = 0;
     failure = None;
@@ -203,39 +210,61 @@ let shard_of t ~space ~win =
   let h = (space * 0x9e3779b1) lxor (win * 0x85ebca77) in
   (h land max_int) mod t.n_jobs
 
+(* Tasks reach a worker in batches of up to [batch_max] (never more
+   than the queue capacity): one batch pays one lock round trip on each
+   side and one timer pair where single tasks paid them per task, which
+   cost more than the store insert a task usually carries. A batch runs
+   its tasks in order, each with its own exception stash, so per-shard
+   order and the per-task failure contract are unchanged. Everything
+   that waits for a shard ([drain], [wait_shard_idle]) or stops
+   dispatching to it ([crash_shard]) hands its batch over first. *)
+let batch_max = 64
+
+let flush_shard t ~shard =
+  let sh = t.shards.(shard) in
+  if sh.batch_len > 0 then begin
+    let tasks = List.rev sh.batch and n = sh.batch_len in
+    sh.batch <- [];
+    sh.batch_len <- 0;
+    Mutex.lock t.mu;
+    while sh.inflight + n > t.queue_capacity do
+      Condition.wait t.changed t.mu
+    done;
+    sh.inflight <- sh.inflight + n;
+    t.pend <- t.pend + n;
+    let depth = sh.inflight in
+    Mutex.unlock t.mu;
+    if Obs.is_enabled () then Obs.observe_int obs_queue_depth depth;
+    let task () =
+      let t0 = Rma_util.Timer.now () in
+      let err = ref None in
+      List.iter (fun f -> try f () with e -> if Option.is_none !err then err := Some e) tasks;
+      let t1 = Rma_util.Timer.now () in
+      sh.work_seconds <- sh.work_seconds +. (t1 -. t0);
+      if sh.win_t0 = 0.0 then sh.win_t0 <- t0;
+      sh.win_t1 <- t1;
+      Mutex.lock t.mu;
+      (match (!err, t.failure) with Some e, None -> t.failure <- Some e | _ -> ());
+      sh.inflight <- sh.inflight - n;
+      t.pend <- t.pend - n;
+      Condition.broadcast t.changed;
+      Mutex.unlock t.mu
+    in
+    let w = workers.(shard) in
+    Mutex.lock w.w_mu;
+    Queue.push task w.w_queue;
+    Condition.signal w.w_nonempty;
+    Mutex.unlock w.w_mu
+  end
+
+let flush_all t = Array.iteri (fun shard _ -> flush_shard t ~shard) t.shards
+
 let dispatch t ~shard f =
   let sh = t.shards.(shard) in
-  Mutex.lock t.mu;
-  while sh.inflight >= t.queue_capacity do
-    Condition.wait t.changed t.mu
-  done;
-  sh.inflight <- sh.inflight + 1;
-  t.pend <- t.pend + 1;
-  let depth = sh.inflight in
-  Mutex.unlock t.mu;
-  if Obs.is_enabled () then begin
-    Obs.incr obs_shard_inserts;
-    Obs.observe_int obs_queue_depth depth
-  end;
-  let task () =
-    let t0 = Rma_util.Timer.now () in
-    let err = (try f (); None with e -> Some e) in
-    let t1 = Rma_util.Timer.now () in
-    sh.work_seconds <- sh.work_seconds +. (t1 -. t0);
-    if sh.win_t0 = 0.0 then sh.win_t0 <- t0;
-    sh.win_t1 <- t1;
-    Mutex.lock t.mu;
-    (match (err, t.failure) with Some e, None -> t.failure <- Some e | _ -> ());
-    sh.inflight <- sh.inflight - 1;
-    t.pend <- t.pend - 1;
-    Condition.broadcast t.changed;
-    Mutex.unlock t.mu
-  in
-  let w = workers.(shard) in
-  Mutex.lock w.w_mu;
-  Queue.push task w.w_queue;
-  Condition.signal w.w_nonempty;
-  Mutex.unlock w.w_mu
+  sh.batch <- f :: sh.batch;
+  sh.batch_len <- sh.batch_len + 1;
+  if Obs.is_enabled () then Obs.incr obs_shard_inserts;
+  if sh.batch_len >= min batch_max t.queue_capacity then flush_shard t ~shard
 
 (* Run a task on the calling thread with worker semantics: time is
    charged to the shard's accumulator and an exception is stashed for
@@ -249,7 +278,9 @@ let run_inline t sh f =
   sh.win_t1 <- t1;
   match (err, t.failure) with Some e, None -> t.failure <- Some e | _ -> ()
 
-let wait_shard_idle t sh =
+let wait_shard_idle t ~shard =
+  flush_shard t ~shard;
+  let sh = t.shards.(shard) in
   Mutex.lock t.mu;
   while sh.inflight > 0 do
     Condition.wait t.changed t.mu
@@ -257,6 +288,7 @@ let wait_shard_idle t sh =
   Mutex.unlock t.mu
 
 let drain t =
+  flush_all t;
   Mutex.lock t.mu;
   while t.pend > 0 do
     Condition.wait t.changed t.mu
@@ -264,6 +296,7 @@ let drain t =
   Mutex.unlock t.mu
 
 let crash_shard t ~shard sh f =
+  flush_shard t ~shard;
   sh.crashed <- true;
   t.crashes <- t.crashes + 1;
   Obs.incr obs_worker_crashes;
@@ -302,7 +335,7 @@ let submit t ~shard f =
           ("ordinal", string_of_int (Rma_fault.ordinal Rma_fault.Queue_overflow - 1));
         ]
       Events.Warn "par";
-    wait_shard_idle t sh;
+    wait_shard_idle t ~shard;
     run_inline t sh f
   end
   else dispatch t ~shard f
@@ -465,7 +498,7 @@ let pending t =
   Mutex.lock t.mu;
   let p = t.pend in
   Mutex.unlock t.mu;
-  p
+  Array.fold_left (fun acc sh -> acc + sh.batch_len) p t.shards
 
 let take_work_seconds t =
   let worst = ref 0.0 in

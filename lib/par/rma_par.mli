@@ -91,10 +91,12 @@ val shard_of : t -> space:int -> win:int -> int
     depends only on the key and [jobs t]. *)
 
 val submit : t -> shard:int -> (unit -> unit) -> unit
-(** Enqueue a task on the shard's domain. Blocks the calling thread
-    while the shard already has [queue_capacity] tasks in flight
-    (back-pressure); never blocks a worker, so barriers cannot
-    deadlock. A task that raises stashes its exception for the next
+(** Enqueue a task on the shard's domain. Tasks are handed to the
+    worker in batches of up to 64 (never more than [queue_capacity]);
+    a {!barrier} hands over every partial batch. Blocks the calling
+    thread while handing over a batch would exceed [queue_capacity]
+    tasks in flight (back-pressure); never blocks a worker, so barriers
+    cannot deadlock. A task that raises stashes its exception for the next
     {!barrier} instead of killing the worker. Under an installed
     {!Rma_fault} plan this is also the crash/overflow injection point
     (see the module preamble); tasks journaled by a crashed shard run
@@ -107,7 +109,8 @@ val barrier : t -> unit
     in [par.barrier_wait_ns]. *)
 
 val pending : t -> int
-(** Tasks submitted but not yet completed (diagnostic; caller thread).
+(** Tasks submitted but not yet completed, including those still in a
+    partial batch (diagnostic; caller thread).
     Journaled tasks of a crashed shard are not counted — they run at
     the next {!barrier}. *)
 

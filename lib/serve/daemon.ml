@@ -147,7 +147,7 @@ let rec close_session t (s : Session.t) reason =
     end;
     s.Session.tool <- None;
     s.Session.fault_snap <- None;
-    s.Session.inbox <- [];
+    Queue.clear s.Session.inbox;
     graceful_close s.Session.fd;
     t.sessions <- List.filter (fun x -> x != s) t.sessions;
     if was_streaming then Atomic.decr t.g_active;
@@ -320,19 +320,24 @@ and feed_line t (s : Session.t) line =
       close_session t s (Session.Protocol_error reason)
 
 and drain t (s : Session.t) =
-  match s.Session.inbox with
-  | [] -> ()
-  | line :: rest -> (
-      match s.Session.phase with
-      | Session.Queued | Session.Closed _ -> ()
-      | Session.Handshaking ->
-          s.Session.inbox <- rest;
-          on_hello t s line;
-          drain t s
-      | Session.Streaming ->
-          s.Session.inbox <- rest;
-          with_session_env s (fun () -> feed_line t s line);
-          drain t s)
+  if not (Queue.is_empty s.Session.inbox) then
+    match s.Session.phase with
+    | Session.Queued | Session.Closed _ -> ()
+    | Session.Handshaking ->
+        on_hello t s (Queue.pop s.Session.inbox);
+        drain t s
+    | Session.Streaming ->
+        (* One processing slice per run of queued trace lines, not one
+           per line: the environment bracket costs two fault snapshots
+           and a journal context switch. *)
+        with_session_env s (fun () -> feed_queued t s);
+        drain t s
+
+and feed_queued t (s : Session.t) =
+  if s.Session.phase = Session.Streaming && not (Queue.is_empty s.Session.inbox) then begin
+    feed_line t s (Queue.pop s.Session.inbox);
+    feed_queued t s
+  end
 
 let accept_new t =
   match Unix.accept t.lsock with

@@ -27,8 +27,8 @@ type t = {
   id : int;
   fd : Unix.file_descr;
   mutable phase : phase;
-  mutable pending : string;  (* bytes received but not yet terminated by '\n' *)
-  mutable inbox : string list;  (* complete lines not yet consumed by the state machine *)
+  pending : Buffer.t;  (* bytes received but not yet terminated by '\n' *)
+  inbox : string Queue.t;  (* complete lines not yet consumed by the state machine *)
   mutable hello : Protocol.hello option;
   mutable run_id : string;
   mutable tool : Tool.t option;
@@ -44,8 +44,8 @@ let create ~id ~fd =
     id;
     fd;
     phase = Handshaking;
-    pending = "";
-    inbox = [];
+    pending = Buffer.create 256;
+    inbox = Queue.create ();
     hello = None;
     run_id = "";
     tool = None;
@@ -59,22 +59,32 @@ let create ~id ~fd =
 let is_open s = match s.phase with Closed _ -> false | _ -> true
 let wants_read s = match s.phase with Handshaking | Streaming -> true | _ -> false
 
+let chomp_cr line =
+  let n = String.length line in
+  if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
+
 (* Append a received chunk, peeling complete lines into the inbox. CRLF
-   tolerated; the unterminated tail stays pending for the next chunk. *)
+   tolerated; the unterminated tail stays pending for the next chunk.
+   Each byte is copied at most once into [pending], so a line that
+   arrives over many chunks costs time linear in its length. *)
 let push_bytes s chunk =
-  let data = s.pending ^ chunk in
-  let parts = String.split_on_char '\n' data in
-  match List.rev parts with
-  | [] -> ()
-  | tail :: complete_rev ->
-      s.pending <- tail;
-      let lines =
-        List.rev_map
-          (fun line ->
-            let n = String.length line in
-            if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line)
-          complete_rev
-      in
-      s.inbox <- s.inbox @ lines
+  let n = String.length chunk in
+  let rec go start =
+    match String.index_from_opt chunk start '\n' with
+    | None -> Buffer.add_substring s.pending chunk start (n - start)
+    | Some nl ->
+        let line =
+          if Buffer.length s.pending = 0 then String.sub chunk start (nl - start)
+          else begin
+            Buffer.add_substring s.pending chunk start (nl - start);
+            let line = Buffer.contents s.pending in
+            Buffer.clear s.pending;
+            line
+          end
+        in
+        Queue.push (chomp_cr line) s.inbox;
+        go (nl + 1)
+  in
+  go 0
 
 let session_name s = match s.hello with Some h -> Some h.Protocol.session | None -> None

@@ -39,8 +39,8 @@ type t = {
   id : int;  (** Daemon-local ordinal, minted at accept. *)
   fd : Unix.file_descr;
   mutable phase : phase;
-  mutable pending : string;  (** Received bytes not yet newline-terminated. *)
-  mutable inbox : string list;
+  pending : Buffer.t;  (** Received bytes not yet newline-terminated. *)
+  inbox : string Queue.t;
       (** Complete lines the state machine has not consumed yet — a
           client that pipelines its handshake and trace in one write
           can land lines while the session is still [Queued]; they wait

@@ -46,7 +46,10 @@ val encode_event : Mpi_sim.Event.event -> string
 (** One line, no trailing newline. *)
 
 val decode_event : string -> (Mpi_sim.Event.event, string) result
-(** Total: any input yields [Ok] or [Error], never an exception. *)
+(** Total: any input yields [Ok] or [Error], never an exception.
+    Stateless: it shares nothing between calls, unlike
+    {!Incremental.feed}, which uses the same decoder with a bounded
+    per-stream memo. *)
 
 val write_all : out_channel -> Mpi_sim.Event.event list -> unit
 (** Header, one line per event, footer. Under an installed fault plan,
@@ -59,16 +62,20 @@ val read_all : in_channel -> (Mpi_sim.Event.event list, error) result
 (** Validates the header, decodes every line, and — on a format-2
     stream — requires the footer and checks its count; a missing or
     mismatching footer reports truncation. Stops at the first
-    malformed line. Blank lines are ignored. *)
+    malformed line, or at the footer. Blank lines are ignored. It is
+    {!Incremental.feed} over [input_line], then {!Incremental.finish}
+    at end of input. *)
 
 (** {1 Incremental decoding}
 
     The [serve] daemon receives one Codec stream per socket session and
     must make progress a line at a time, interleaved with other
-    sessions. {!Incremental} is the same total grammar as {!read_all},
-    refactored into a push decoder: hand it each complete line (without
-    its newline) as it arrives and it yields decoded events until the
-    footer closes the frame. *)
+    sessions. {!Incremental} is the push decoder {!read_all} is built
+    on: hand it each complete line (without its newline) as it arrives
+    and it yields decoded events until the footer closes the frame.
+    Each decoder shares repeated file and operation strings and default
+    thread identities between the events it returns, through fixed-size
+    tables, so a stream cannot grow them. *)
 
 module Incremental : sig
   type t

@@ -10,7 +10,9 @@
 #   4. run two client sessions (racy, clean) plus one that hangs up
 #      mid-stream, scraping /metrics while the daemon is live,
 #   5. assert the streamed digests byte-equal the offline ones, and
-#   6. shut the daemon down cleanly and check the journal saw it all.
+#   6. shut the daemon down cleanly and check the journal saw it all,
+#   7. boot a second daemon and SIGTERM it the moment its port line
+#      appears: it must still exit 0 and print its stats line.
 #
 # Usage: scripts/serve_smoke.sh [workdir]
 #   DUNE="opam exec -- dune" scripts/serve_smoke.sh   # under opam (CI)
@@ -90,4 +92,28 @@ grep -q '"event":"session_admitted"' "$WORK/serve-events.jsonl"
 grep -q '"event":"session_summary"' "$WORK/serve-events.jsonl"
 grep -q '"reason":"disconnected"' "$WORK/serve-events.jsonl"
 grep -q '"event":"serve_stop"' "$WORK/serve-events.jsonl"
+
+# --- 7: SIGTERM at start-up --------------------------------------------------
+# The signal handlers are installed before the port line is printed, so a
+# caller that stops the daemon as soon as it learns the port still gets a
+# clean exit and the stats line.
+$DUNE exec bin/rma_race_cli.exe -- serve --port 0 \
+  >"$WORK/early-stdout.log" 2>"$WORK/early-stderr.log" &
+EARLY_PID=$!
+trap 'kill "$EARLY_PID" 2>/dev/null || true' EXIT
+for _ in $(seq 1 3000); do
+  grep -q '^serve-port: ' "$WORK/early-stderr.log" && break
+  sleep 0.01
+done
+grep -q '^serve-port: ' "$WORK/early-stderr.log"
+kill -TERM "$EARLY_PID"
+EARLY_STATUS=0
+wait "$EARLY_PID" || EARLY_STATUS=$?
+trap - EXIT
+if [ "$EARLY_STATUS" -ne 0 ]; then
+  echo "serve_smoke: FAIL — daemon stopped at start-up exited $EARLY_STATUS" >&2
+  exit 1
+fi
+grep -q '^serve: .* accepted' "$WORK/early-stdout.log"
+echo "serve_smoke: SIGTERM at start-up exits 0 with the stats line"
 echo "serve_smoke: OK"

@@ -227,13 +227,22 @@ let trace_bytes events =
   Sys.remove path;
   s
 
+(* Read the bytes back with [Codec.read_all] and with the split-based
+   reader it replaced: the result, down to the error's line and reason,
+   must be the same. *)
 let read_trace_bytes s =
   let path = Filename.temp_file "fuzz_codec" ".txt" in
   let oc = open_out_bin path in
   Fun.protect ~finally:(fun () -> close_out oc) (fun () -> output_string oc s);
-  let ic = open_in path in
-  let r = Fun.protect ~finally:(fun () -> close_in ic) (fun () -> Rma_trace.Codec.read_all ic) in
+  let read f =
+    let ic = open_in path in
+    Fun.protect ~finally:(fun () -> close_in ic) (fun () -> f ic)
+  in
+  let r = read Rma_trace.Codec.read_all in
+  let oracle = read Test_trace.Split_oracle.read_all_raw in
   Sys.remove path;
+  if compare r oracle <> 0 then
+    QCheck.Test.fail_reportf "read_all disagrees with the split-based reader on %S" s;
   r
 
 let prop_truncated_trace_structured_error =

@@ -364,6 +364,42 @@ let test_metrics_label_sessions () =
   in
   ()
 
+(* --- line splitting --------------------------------------------------- *)
+
+(* [Session.push_bytes] over chunk boundaries: a line split across
+   chunks, a chunk ending exactly on a newline, CRLF (including a CR and
+   its LF in different chunks), empty lines, and a tail that waits for
+   the next chunk. *)
+let test_push_bytes_splits_lines () =
+  let fd = Unix.openfile Filename.null [ Unix.O_RDONLY ] 0 in
+  Fun.protect
+    ~finally:(fun () -> Unix.close fd)
+    (fun () ->
+      let s = Rma_serve.Session.create ~id:1 ~fd in
+      let inbox () =
+        let lines = List.of_seq (Queue.to_seq s.Rma_serve.Session.inbox) in
+        Queue.clear s.Rma_serve.Session.inbox;
+        lines
+      in
+      let pending () = Buffer.contents s.Rma_serve.Session.pending in
+      let push = Rma_serve.Session.push_bytes s in
+      push "hel";
+      Alcotest.(check (list string)) "no newline yet" [] (inbox ());
+      Alcotest.(check string) "tail pending" "hel" (pending ());
+      push "lo\nwor";
+      Alcotest.(check (list string)) "line across chunks" [ "hello" ] (inbox ());
+      push "ld\n";
+      Alcotest.(check (list string)) "chunk ends on newline" [ "world" ] (inbox ());
+      Alcotest.(check string) "nothing pending" "" (pending ());
+      push "a\r\n\n\r\nb\r";
+      Alcotest.(check (list string)) "CRLF and empty lines" [ "a"; ""; "" ] (inbox ());
+      push "\nc\rd\n";
+      Alcotest.(check (list string)) "CR and LF in different chunks" [ "b"; "c\rd" ] (inbox ());
+      push "";
+      push "\n\n";
+      Alcotest.(check (list string)) "empty chunk, then empty lines" [ ""; "" ] (inbox ());
+      Alcotest.(check string) "nothing pending at the end" "" (pending ()))
+
 let suite =
   [
     Alcotest.test_case "byte-identical verdicts vs offline replay" `Quick
@@ -376,4 +412,5 @@ let suite =
       test_interleaved_sessions_isolated;
     Alcotest.test_case "session churn soak leaks nothing" `Quick test_session_churn_soak;
     Alcotest.test_case "/metrics labels sessions by run id" `Quick test_metrics_label_sessions;
+    Alcotest.test_case "push_bytes splits lines across chunks" `Quick test_push_bytes_splits_lines;
   ]

@@ -305,3 +305,433 @@ let suite =
       Alcotest.test_case "codec rejects malformed thread fields" `Quick
         test_codec_rejects_bad_thread_fields;
     ]
+
+(* --- Differential decoder oracle ------------------------------------- *)
+
+(* The split-based decoder and file reader that [Codec]'s cursor decoder
+   and its [Incremental]-driven [read_all] replaced, copied verbatim
+   (helpers included). Every [Ok] value and every [Error] reason of the
+   codec must stay identical to this grammar's. *)
+module Split_oracle = struct
+  open Rma_access
+  module Event = Mpi_sim.Event
+
+  let header = Codec.header
+  let legacy_header = Codec.legacy_header
+  let footer_prefix = "rma-trace-end"
+  let unescape = Codec.unescape
+
+  type error = Codec.error = { at_line : int; reason : string }
+
+  let kind_of_str = function
+    | "LR" -> Ok Access_kind.Local_read
+    | "LW" -> Ok Access_kind.Local_write
+    | "RR" -> Ok Access_kind.Rma_read
+    | "RW" -> Ok Access_kind.Rma_write
+    | "RA" -> Ok Access_kind.Rma_accumulate
+    | other -> Error (Printf.sprintf "unknown access kind %S" other)
+
+  let opt_int_of_str = function
+    | "-" -> Ok None
+    | s -> ( match int_of_string_opt s with Some i -> Ok (Some i) | None -> Error ("bad int " ^ s))
+
+  let ( let* ) r f = Result.bind r f
+
+  let int_field s =
+    match int_of_string_opt s with Some i -> Ok i | None -> Error ("bad int " ^ s)
+
+  let float_field s =
+    match float_of_string_opt s with Some f -> Ok f | None -> Error ("bad float " ^ s)
+
+  let bool_field = function
+    | "1" -> Ok true
+    | "0" -> Ok false
+    | s -> Error ("bad bool " ^ s)
+
+  let tview_field s =
+    let pair p =
+      match String.split_on_char ':' p with
+      | [ c; v ] -> (
+          match (int_of_string_opt c, int_of_string_opt v) with
+          | Some c, Some v -> Ok (c, v)
+          | _ -> Error ("bad thread-view pair " ^ p))
+      | _ -> Error ("bad thread-view pair " ^ p)
+    in
+    let rec go acc = function
+      | [] -> Ok (List.rev acc)
+      | p :: rest ->
+          let* cv = pair p in
+          go (cv :: acc) rest
+    in
+    if s = "" then Ok [] else go [] (String.split_on_char ',' s)
+
+  let decode_event_exn line =
+    match String.split_on_char '\t' line with
+    | "A" :: space :: kind :: lo :: hi :: issuer :: seq :: win :: relevant :: on_stack :: time
+      :: file :: lnum :: op :: thread_fields ->
+        let* space = int_field space in
+        let* kind = kind_of_str kind in
+        let* lo = int_field lo in
+        let* hi = int_field hi in
+        let* issuer = int_field issuer in
+        let* seq = int_field seq in
+        let* win = opt_int_of_str win in
+        let* relevant = bool_field relevant in
+        let* on_stack = bool_field on_stack in
+        let* sim_time = float_field time in
+        let* line_number = int_field lnum in
+        if lo > hi then Error (Printf.sprintf "inverted interval [%s...%s]" (string_of_int lo) (string_of_int hi))
+        else begin
+          let debug =
+            Debug_info.make ~file:(unescape file) ~line:line_number ~operation:(unescape op)
+          in
+          let* thread =
+            match thread_fields with
+            | [] -> Ok (Access.default_thread ~issuer)
+            | [ tid; tstamp; tview ] ->
+                let* tid = int_field tid in
+                let* tstamp = int_field tstamp in
+                let* tview = tview_field tview in
+                Ok { Access.tid; tstamp; tview }
+            | _ -> Error "malformed thread fields on access record"
+          in
+          let access =
+            Access.make_threaded ~thread ~interval:(Interval.make ~lo ~hi) ~kind ~issuer ~seq ~debug
+          in
+          Ok (Event.Access { Event.space; access; win; relevant; on_stack; sim_time })
+        end
+    | [ "C"; kind; rank; time ] ->
+        let* kind =
+          match kind with
+          | "barrier" -> Ok Event.Barrier
+          | "allreduce" -> Ok Event.Allreduce
+          | "fence" -> Ok Event.Fence
+          | other -> Error ("unknown collective " ^ other)
+        in
+        let* rank = int_field rank in
+        let* sim_time = float_field time in
+        Ok (Event.Collective { kind; rank; sim_time })
+    | [ "W"; win; rank; base; size; time ] ->
+        let* win = int_field win in
+        let* rank = int_field rank in
+        let* base = int_field base in
+        let* size = int_field size in
+        let* sim_time = float_field time in
+        Ok (Event.Win_created { win; rank; base; size; sim_time })
+    | [ "X"; win; rank; time ] ->
+        let* win = int_field win in
+        let* rank = int_field rank in
+        let* sim_time = float_field time in
+        Ok (Event.Win_freed { win; rank; sim_time })
+    | [ "O"; win; rank; time ] ->
+        let* win = int_field win in
+        let* rank = int_field rank in
+        let* sim_time = float_field time in
+        Ok (Event.Epoch_opened { win; rank; sim_time })
+    | [ "E"; win; rank; time ] ->
+        let* win = int_field win in
+        let* rank = int_field rank in
+        let* sim_time = float_field time in
+        Ok (Event.Epoch_closed { win; rank; sim_time })
+    | [ "L"; win; rank; target; time ] ->
+        let* win = int_field win in
+        let* rank = int_field rank in
+        let* target = opt_int_of_str target in
+        let* sim_time = float_field time in
+        Ok (Event.Flushed { win; rank; target; sim_time })
+    | [ "Z"; rank; time ] ->
+        let* rank = int_field rank in
+        let* sim_time = float_field time in
+        Ok (Event.Finished { rank; sim_time })
+    | _ -> Error (Printf.sprintf "malformed trace line %S" line)
+
+  (* The grammar above is already total over well-formed OCaml strings,
+     but "never raises" is a contract the fuzz suite enforces against
+     arbitrary bytes — the catch-all keeps it robust against any future
+     field parser that throws. *)
+  let decode_event line =
+    match decode_event_exn line with
+    | r -> r
+    | exception e -> Error (Printf.sprintf "decode failure: %s" (Printexc.to_string e))
+
+  let parse_footer line =
+    match String.split_on_char ' ' line with
+    | [ p; n ] when p = footer_prefix -> int_of_string_opt n
+    | _ -> None
+
+  let read_all_raw ic =
+    match input_line ic with
+    | exception End_of_file -> Error { at_line = 1; reason = "empty trace" }
+    | first when first <> header && first <> legacy_header ->
+        Error { at_line = 1; reason = Printf.sprintf "bad header %S" first }
+    | first ->
+        let framed = first = header in
+        let rec go lineno acc =
+          match input_line ic with
+          | exception End_of_file ->
+              if framed then
+                Error { at_line = lineno; reason = "truncated trace: missing rma-trace-end footer" }
+              else Ok (List.rev acc)
+          | line when framed && String.length line >= String.length footer_prefix
+                      && String.sub line 0 (String.length footer_prefix) = footer_prefix -> (
+              match parse_footer line with
+              | Some n when n = List.length acc -> Ok (List.rev acc)
+              | Some n ->
+                  Error
+                    {
+                      at_line = lineno;
+                      reason =
+                        Printf.sprintf "footer count %d disagrees with %d decoded events" n
+                          (List.length acc);
+                    }
+              | None -> Error { at_line = lineno; reason = "malformed rma-trace-end footer" })
+          | line when String.trim line = "" -> go (lineno + 1) acc
+          | line -> (
+              match decode_event line with
+              | Ok e -> go (lineno + 1) (e :: acc)
+              | Error reason -> Error { at_line = lineno; reason })
+        in
+        go 2 []
+end
+
+(* Feed [lines] to one [Incremental] decoder, so its memo carries across
+   lines, and check each step against the oracle's decode of that line.
+   After an [Error] the stream is abandoned for a fresh decoder, as the
+   interface asks. Blank lines must be skipped, as the split-based
+   reader skipped them; footer-shaped lines are framing, not records. *)
+let check_incremental_against_oracle lines =
+  let fresh () =
+    let dec = Codec.Incremental.create () in
+    ignore (Codec.Incremental.feed dec Codec.header);
+    dec
+  in
+  let dec = ref (fresh ()) in
+  List.for_all
+    (fun line ->
+      if String.trim line = "" then Codec.Incremental.feed !dec line = Ok Codec.Incremental.Skip
+      else if String.starts_with ~prefix:Split_oracle.footer_prefix line then true
+      else
+        match (Codec.Incremental.feed !dec line, Split_oracle.decode_event line) with
+        | Ok (Codec.Incremental.Event e), Ok o -> compare e o = 0
+        | Error err, Error reason ->
+            dec := fresh ();
+            err.Codec.reason = reason
+        | _ -> false)
+    lines
+
+let check_against_oracle lines =
+  List.for_all
+    (fun line -> compare (Codec.decode_event line) (Split_oracle.decode_event line) = 0)
+    lines
+  && check_incremental_against_oracle lines
+
+(* Random events of every record type, with field values well beyond
+   what a simulated run writes: negative and 62-bit ints, special and
+   huge floats, text with tabs, newlines and percent signs. Text comes
+   mostly from a small pool, so the decoder's intern cache sees repeats,
+   evictions and near misses. *)
+let text_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (3, oneofl [ "./exchange.c"; "Load"; "MPI_Put"; "a.c"; "a.cc"; "" ]);
+        ( 1,
+          map (String.concat "")
+            (list_size (int_bound 5)
+               (oneofl
+                  [ "a"; "/"; "."; "%"; "%25"; "\t"; "\n"; "\r"; " "; "%41"; "%zz"; "\xc3\xbc" ]))
+        );
+      ])
+
+let int_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, small_nat); (2, int); (1, map (fun i -> -i) small_nat); (1, oneofl [ max_int; min_int ]);
+      ])
+
+let float_gen =
+  QCheck.Gen.(
+    frequency
+      [
+        (4, map (fun i -> float_of_int i /. 1e9) (int_bound 1_000_000_000));
+        (2, float);
+        (1, oneofl [ nan; infinity; neg_infinity; -0.0; 1e300; 5e-324; 9007199254740993.0 ]);
+      ])
+
+let event_gen =
+  let open QCheck.Gen in
+  let open Rma_access in
+  let access =
+    int_gen >>= fun space ->
+    oneofl Access_kind.[ Local_read; Local_write; Rma_read; Rma_write; Rma_accumulate ]
+    >>= fun kind ->
+    int_gen >>= fun lo ->
+    small_nat >>= fun width ->
+    small_nat >>= fun issuer ->
+    int_gen >>= fun seq ->
+    opt int_gen >>= fun win ->
+    bool >>= fun relevant ->
+    bool >>= fun on_stack ->
+    float_gen >>= fun sim_time ->
+    text_gen >>= fun file ->
+    int_gen >>= fun line ->
+    text_gen >>= fun operation ->
+    frequency
+      [
+        (3, return (Access.default_thread ~issuer));
+        ( 1,
+          int_range 1 3 >>= fun tid ->
+          small_nat >>= fun tstamp ->
+          list_size (int_bound 3) (pair int_gen int_gen) >>= fun tview ->
+          return { Access.tid; tstamp; tview } );
+      ]
+    >>= fun thread ->
+    let hi = if lo > max_int - width then max_int else lo + width in
+    let debug = Debug_info.make ~file ~line ~operation in
+    let access =
+      Access.make_threaded ~thread ~interval:(Interval.make ~lo ~hi) ~kind ~issuer ~seq ~debug
+    in
+    return (Event.Access { Event.space; access; win; relevant; on_stack; sim_time })
+  in
+  frequency
+    [
+      (6, access);
+      ( 1,
+        map3
+          (fun kind rank sim_time -> Event.Collective { kind; rank; sim_time })
+          (oneofl Event.[ Barrier; Allreduce; Fence ])
+          int_gen float_gen );
+      ( 1,
+        map3
+          (fun (win, rank) (base, size) sim_time ->
+            Event.Win_created { win; rank; base; size; sim_time })
+          (pair int_gen int_gen) (pair int_gen int_gen) float_gen );
+      ( 1,
+        map3 (fun win rank sim_time -> Event.Win_freed { win; rank; sim_time }) int_gen int_gen float_gen
+      );
+      ( 1,
+        map3
+          (fun win rank sim_time -> Event.Epoch_opened { win; rank; sim_time })
+          int_gen int_gen float_gen );
+      ( 1,
+        map3
+          (fun win rank sim_time -> Event.Epoch_closed { win; rank; sim_time })
+          int_gen int_gen float_gen );
+      ( 1,
+        map3
+          (fun (win, rank) target sim_time -> Event.Flushed { win; rank; target; sim_time })
+          (pair int_gen int_gen) (opt int_gen) float_gen );
+      (1, map2 (fun rank sim_time -> Event.Finished { rank; sim_time }) int_gen float_gen);
+    ]
+
+(* Field values that probe each parser's fast path and its fallback. *)
+let hostile_tokens =
+  [
+    "%zz"; "%41"; "%"; "-"; "--1"; "1234567890123456789"; "-1234567890123456789";
+    "9999999999999999999"; "-9999999999999999999"; "4611686018427387904";
+    "123456789012345678"; "-123456789012345678"; "99999999999999999999"; "0000000000000000000001";
+    "1_000"; "0x1F"; "0b101"; "+5"; "-0"; "1e5"; "inf"; "-inf"; "nan"; " 1.0"; "1.0 "; "1.";
+    ".5"; "-3"; "-1"; ""; "0.1234567890123456"; "9007199254740993.5"; "9007199254740992.0";
+    "00.000000001"; "1.000_000"; "LR"; "RA"; "Lr"; "barrier"; "fence"; "1"; "0"; "2"; "1:2,3:4";
+    "1:2,"; "a:b"; "A"; "\r";
+  ]
+
+let nth_tab line k =
+  let rec go i seen =
+    match String.index_from_opt line i '\t' with
+    | None -> None
+    | Some j -> if seen = k then Some j else go (j + 1) (seen + 1)
+  in
+  go 0 0
+
+let replace_field line k token =
+  let fields = String.split_on_char '\t' line in
+  let k = k mod List.length fields in
+  String.concat "\t" (List.mapi (fun i f -> if i = k then token else f) fields)
+
+let mutation_gen line =
+  let open QCheck.Gen in
+  let n = String.length line in
+  frequency
+    [
+      (2, return line);
+      ( 2,
+        map2
+          (fun p bit ->
+            if n = 0 then line
+            else begin
+              let b = Bytes.of_string line in
+              let p = p mod n in
+              Bytes.set b p (Char.chr (Char.code (Bytes.get b p) lxor (1 lsl bit)));
+              Bytes.to_string b
+            end)
+          nat (int_bound 7) );
+      (1, map (fun p -> String.sub line 0 (p mod (n + 1))) nat);
+      ( 1,
+        map
+          (fun p ->
+            let p = p mod (n + 1) in
+            String.sub line 0 p ^ "\t" ^ String.sub line p (n - p))
+          nat );
+      ( 1,
+        map
+          (fun k ->
+            match nth_tab line k with
+            | None -> line
+            | Some j -> String.sub line 0 j ^ String.sub line (j + 1) (n - j - 1))
+          (int_bound 16) );
+      (4, map2 (replace_field line) (int_bound 16) (oneofl hostile_tokens));
+      (1, return (line ^ "\r"));
+      (1, map (String.concat "") (list_size (int_bound 3) (oneofl [ " "; "\t"; "\r"; "\012" ])));
+    ]
+
+let mutated_line_gen =
+  QCheck.Gen.(
+    event_gen >>= fun e ->
+    let line = Codec.encode_event e in
+    mutation_gen line >>= fun once ->
+    frequency [ (3, return once); (1, mutation_gen once) ])
+
+let prop_decoder_matches_split_oracle =
+  QCheck.Test.make ~name:"cursor decoder matches the split-based oracle" ~count:400
+    (QCheck.make
+       ~print:QCheck.Print.(list (fun s -> Printf.sprintf "%S" s))
+       QCheck.Gen.(list_size (int_range 1 30) mutated_line_gen))
+    check_against_oracle
+
+(* Every line of a recorded CFD-Proxy and MiniVite trace decodes to the
+   same value under both decoders, through [decode_event] and through
+   one [Incremental] stream. *)
+let test_app_traces_match_split_oracle () =
+  let lines run =
+    let r = Recorder.create () in
+    run (Recorder.observer r);
+    List.map Codec.encode_event (Recorder.events r)
+  in
+  let cfd =
+    lines (fun observer -> ignore (Cfd_proxy.Halo.run Test_apps.small_cfd ~nprocs:6 ~observer ()))
+  in
+  let minivite =
+    lines (fun observer ->
+        ignore
+          (Minivite.Louvain.run
+             { Test_apps.small_minivite with Minivite.Louvain.inject_race = true }
+             ~nprocs:4 ~observer ()))
+  in
+  List.iter
+    (fun (name, lines) ->
+      Alcotest.(check bool) (name ^ " trace recorded") true (List.length lines > 1000);
+      Alcotest.(check bool) (name ^ " lines decode") true
+        (List.for_all (fun l -> Result.is_ok (Codec.decode_event l)) lines);
+      Alcotest.(check bool) (name ^ " matches the oracle") true (check_against_oracle lines))
+    [ ("cfd", cfd); ("minivite", minivite) ]
+
+let suite =
+  suite
+  @ [
+      QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 12 |])
+        prop_decoder_matches_split_oracle;
+      Alcotest.test_case "app traces decode as the split-based oracle" `Quick
+        test_app_traces_match_split_oracle;
+    ]
