@@ -13,7 +13,7 @@
      --session NAME              display name (default: trace basename)
      --tool SLUG                 detector slug (default contribution)
      --nprocs N                  rank count (default: inferred from the trace)
-     --jobs N --budget SPEC --fault SPEC --predictive --batch-inserts
+     --jobs N --budget SPEC --fault SPEC --predictive
      --abort-after N             disconnect after N trace lines (churn demo)
 
    Exit status: 0 after a summary line, 3 on error/load_shed, 2 on usage. *)
@@ -32,7 +32,6 @@ let jobs = ref None
 let budget = ref None
 let fault = ref None
 let predictive = ref false
-let batch_inserts = ref false
 let abort_after = ref None
 
 let spec =
@@ -47,7 +46,6 @@ let spec =
     ("--budget", Arg.String (fun v -> budget := Some v), "SPEC  per-session store budget");
     ("--fault", Arg.String (fun v -> fault := Some v), "SPEC  per-session fault plan");
     ("--predictive", Arg.Set predictive, " run the predictive analysis too");
-    ("--batch-inserts", Arg.Set batch_inserts, " coalesce adjacent inserts");
     ("--abort-after", Arg.Int (fun v -> abort_after := Some v), "N  disconnect after N lines");
   ]
 
@@ -65,7 +63,6 @@ let read_lines path =
 
 let hello_line ~session ~nprocs =
   let opt name f = function None -> [] | Some v -> [ (name, f v) ] in
-  let flag name v = if v then [ (name, Json.Bool true) ] else [] in
   Json.to_string ~minify:true
     (Json.Obj
        ([ ("hello", Json.Int 1); ("session", Json.String session); ("nprocs", Json.Int nprocs) ]
@@ -73,8 +70,7 @@ let hello_line ~session ~nprocs =
        @ opt "jobs" (fun j -> Json.Int j) !jobs
        @ opt "budget" (fun s -> Json.String s) !budget
        @ opt "fault" (fun s -> Json.String s) !fault
-       @ flag "predictive" !predictive
-       @ flag "batch_inserts" !batch_inserts))
+       @ if !predictive then [ ("predictive", Json.Bool true) ] else []))
 
 let () =
   Arg.parse spec (fun a -> die "serve_client: unexpected argument %S" a) usage;

@@ -24,7 +24,7 @@ type policy = Legacy | Contribution | Fragmentation_only | Order_blind | Strided
 
 (* Predictive mode default: the CLI's [--predictive] flag (via
    [set_default_predictive]) wins over the [RMA_PREDICTIVE] environment
-   variable, mirroring how batch inserts and jobs resolve theirs. *)
+   variable, mirroring how jobs resolves its own. *)
 let default_predictive_override = ref None
 
 let set_default_predictive b = default_predictive_override := Some b
@@ -44,55 +44,28 @@ let policy_name = function
   | Order_blind -> "Order-blind (ablation)"
   | Strided_extension -> "Strided-merging extension"
 
-(* The store implementations behind one dispatch. *)
-type store = L of Legacy_store.t | D of Disjoint_store.t | S of Strided_store.t
+(* One store behind the [Store_intf.S] contract; [new_tree] is the only
+   place that maps a policy to an implementation. *)
+type store = Store : (module Store_intf.S with type t = 's) * 's -> store
 
-let store_insert = function
-  | L s -> Legacy_store.insert s
-  | D s -> Disjoint_store.insert s
-  | S s -> Strided_store.insert s
-let store_stats = function
-  | L s -> Legacy_store.stats s
-  | D s -> Disjoint_store.stats s
-  | S s -> Strided_store.stats s
-let store_size = function
-  | L s -> Legacy_store.size s
-  | D s -> Disjoint_store.size s
-  | S s -> Strided_store.size s
-let store_clear = function
-  | L s -> Legacy_store.clear s
-  | D s -> Disjoint_store.clear s
-  | S s -> Strided_store.clear s
-let store_to_list = function
-  | L s -> Legacy_store.to_list s
-  | D s -> Disjoint_store.to_list s
-  | S s -> Strided_store.to_list s
-
-(* Flight-recorder hooks: only the disjoint store keeps interval
-   history. The legacy store never merges (every access stays its own
-   node, so its debug info survives unmodified), and the strided store's
-   regions keep one uniform debug info by construction. *)
-let store_recorder = function D s -> Disjoint_store.recorder s | L _ | S _ -> None
-
-(* Every store tracks epoch boundaries now: the disjoint store stamps
-   its flight recorder, and all three move the governance watermark
-   that [Spill_oldest_epoch] eviction keys on. *)
-let store_note_epoch = function
-  | D s -> Disjoint_store.note_epoch s
-  | L s -> Legacy_store.note_epoch s
-  | S s -> Strided_store.note_epoch s
+let store_insert (Store ((module S), s)) access = S.insert s access
+let store_stats (Store ((module S), s)) = S.stats s
+let store_size (Store ((module S), s)) = S.size s
+let store_clear (Store ((module S), s)) = S.clear s
+let store_to_list (Store ((module S), s)) = S.to_list s
+let store_note_epoch (Store ((module S), s)) = S.note_epoch s
 
 (* Has budget governance ever dropped or coarsened a node of this
    store? Races detected afterwards carry downgraded confidence. *)
 let store_degraded store = (store_stats store).Store_intf.degraded_drops > 0
 
-(* Only the disjoint store buffers inserts; the buffer must be drained
-   before anything samples the tree (epoch-close node counts) so the
-   observable state matches an unbatched run byte for byte. *)
-let store_flush_batch = function D s -> Disjoint_store.batch_flush s | L _ | S _ -> ()
-
 type tree = {
   store : store;
+  recorder : Flight_recorder.t option;
+      (* Only the disjoint store keeps interval history. The legacy store
+         never merges (every access stays its own node, so its debug info
+         survives unmodified), and the strided store's regions keep one
+         uniform debug info by construction. *)
   mutable epoch_open : bool;
   mutable nodes_at_last_close : int option;
   mutable epoch_span : Obs.span option;  (* open Epoch_opened..Epoch_closed trace span *)
@@ -189,7 +162,6 @@ type state = {
   config : Config.t;
   mode : Tool.mode;
   flush_clears : bool;
-  batch_inserts : bool;
   budget : Rma_fault.Budget.t option;
       (* Explicit per-tool budget; [None] defers to the process default
          at store creation (see Governor.create). *)
@@ -212,24 +184,31 @@ type state = {
   predictive : predictive option;  (** [None] = observed-only, byte for byte. *)
 }
 
-let new_store ~batch ?budget policy =
-  match policy with
-  | Legacy -> L (Legacy_store.create ?budget ())
-  | Contribution -> D (Disjoint_store.create ~batch ?budget ())
-  | Fragmentation_only -> D (Disjoint_store.create ~merge:false ~batch ?budget ())
-  | Order_blind -> D (Disjoint_store.create ~order_aware:false ~batch ?budget ())
-  | Strided_extension -> S (Strided_store.create ?budget ())
+let new_tree st =
+  let disjoint ?order_aware ?merge () =
+    let s = Disjoint_store.create ?order_aware ?merge ?budget:st.budget () in
+    (Store ((module Disjoint_store), s), Disjoint_store.recorder s)
+  in
+  let store, recorder =
+    match st.policy with
+    | Legacy -> (Store ((module Legacy_store), Legacy_store.create ?budget:st.budget ()), None)
+    | Contribution -> disjoint ()
+    | Fragmentation_only -> disjoint ~merge:false ()
+    | Order_blind -> disjoint ~order_aware:false ()
+    | Strided_extension ->
+        (Store ((module Strided_store), Strided_store.create ?budget:st.budget ()), None)
+  in
+  { store; recorder; epoch_open = false; nodes_at_last_close = None; epoch_span = None }
 
-let tree_for st key =
-  match Hashtbl.find_opt st.trees key with
+let find_tree st trees key =
+  match Hashtbl.find_opt trees key with
   | Some t -> t
   | None ->
-      let t =
-        { store = new_store ~batch:st.batch_inserts ?budget:st.budget st.policy;
-          epoch_open = false; nodes_at_last_close = None; epoch_span = None }
-      in
-      Hashtbl.replace st.trees key t;
+      let t = new_tree st in
+      Hashtbl.replace trees key t;
       t
+
+let tree_for st key = find_tree st st.trees key
 
 let obs_races = Obs.counter ~help:"Race reports recorded by the analyzer" "analyzer.races"
 
@@ -263,7 +242,7 @@ let record_race st ~space ~win ~existing ~incoming ~sim_time ~provenance =
 let provenance_of st tree ~existing ~incoming =
   let id = st.race_count + 1 in
   let degraded = store_degraded tree.store in
-  match store_recorder tree.store with
+  match tree.recorder with
   | None -> { Report.empty_provenance with Report.id; degraded }
   | Some r ->
       {
@@ -279,7 +258,7 @@ let provenance_of st tree ~existing ~incoming =
    which only exists once races are merged back into global order. *)
 let worker_provenance tree ~existing ~incoming =
   let degraded = store_degraded tree.store in
-  match store_recorder tree.store with
+  match tree.recorder with
   | None -> { Report.empty_provenance with Report.degraded = degraded }
   | Some r ->
       {
@@ -296,16 +275,7 @@ let obs_predicted =
   Obs.counter ~help:"Predicted (schedulable) races recorded by the analyzer"
     "analyzer.predicted_races"
 
-let weak_tree_for st p key =
-  match Hashtbl.find_opt p.weak_trees key with
-  | Some t -> t
-  | None ->
-      let t =
-        { store = new_store ~batch:st.batch_inserts ?budget:st.budget st.policy;
-          epoch_open = false; nodes_at_last_close = None; epoch_span = None }
-      in
-      Hashtbl.replace p.weak_trees key t;
-      t
+let weak_tree_for st p key = find_tree st p.weak_trees key
 
 let weak_clear_window p win =
   Hashtbl.iter (fun (_, w) t -> if w = win then store_clear t.store) p.weak_trees;
@@ -583,10 +553,10 @@ let predictive_collective st p ~kind ~rank =
 
 let observer st event =
   (* Parallel engines synchronise exactly where the sequential analyzer
-     touches whole trees: epoch boundaries (note_epoch / batch flush /
-     size sampling / window clears) and the flush-clears ablation. The
-     barrier drains every shard queue first, so the main-thread code
-     below always sees the same store states a sequential run would. *)
+     touches whole trees: epoch boundaries (note_epoch / size sampling /
+     window clears) and the flush-clears ablation. The barrier drains
+     every shard queue first, so the main-thread code below always sees
+     the same store states a sequential run would. *)
   let barrier_cost =
     match (st.par, event) with
     | Some _, (Event.Epoch_opened _ | Event.Epoch_closed _) -> sync st
@@ -616,13 +586,12 @@ let observer st event =
       end;
       0.0
   | Event.Epoch_closed { win; rank; sim_time } ->
-      (* Wall time of the whole close handling (batch flush, journal,
+      (* Wall time of the whole close handling (size sampling, journal,
          window clear) feeds the epoch-close latency SLO; timed only
          under Obs so the sequential hot path stays clock-free. *)
       let close_t0 = if Obs.is_enabled () then Rma_util.Timer.now () else 0.0 in
       let tree = tree_for st (rank, win) in
       tree.epoch_open <- false;
-      store_flush_batch tree.store;
       let nodes = store_size tree.store in
       tree.nodes_at_last_close <- Some nodes;
       if Obs.is_enabled () then begin
@@ -719,11 +688,8 @@ let bst_summary st () =
     st.trees Tool.empty_bst_summary
 
 let make_state ~nprocs ?(config = Config.default) ?(mode = Tool.Abort_on_race)
-    ?(flush_clears = false) ?(max_reports = 1000) ?batch_inserts ?jobs ?queue_capacity ?budget
-    ?predictive policy =
-  let batch_inserts =
-    match batch_inserts with Some b -> b | None -> Disjoint_store.batch_default_enabled ()
-  in
+    ?(flush_clears = false) ?(max_reports = 1000) ?jobs ?queue_capacity ?budget ?predictive policy
+    =
   let predictive_on =
     match predictive with Some b -> b | None -> default_predictive ()
   in
@@ -748,7 +714,6 @@ let make_state ~nprocs ?(config = Config.default) ?(mode = Tool.Abort_on_race)
     config;
     mode;
     flush_clears;
-    batch_inserts;
     budget;
     policy;
     name = policy_name policy;
@@ -835,17 +800,17 @@ let tool_of_state st =
             p.predicted_count <- 0);
   }
 
-let create ~nprocs ?config ?mode ?flush_clears ?max_reports ?batch_inserts ?jobs ?queue_capacity
-    ?budget ?predictive policy =
+let create ~nprocs ?config ?mode ?flush_clears ?max_reports ?jobs ?queue_capacity ?budget
+    ?predictive policy =
   tool_of_state
-    (make_state ~nprocs ?config ?mode ?flush_clears ?max_reports ?batch_inserts ?jobs
-       ?queue_capacity ?budget ?predictive policy)
+    (make_state ~nprocs ?config ?mode ?flush_clears ?max_reports ?jobs ?queue_capacity ?budget
+       ?predictive policy)
 
-let create_inspectable ~nprocs ?config ?mode ?flush_clears ?max_reports ?batch_inserts ?jobs
-    ?queue_capacity ?budget ?predictive policy =
+let create_inspectable ~nprocs ?config ?mode ?flush_clears ?max_reports ?jobs ?queue_capacity
+    ?budget ?predictive policy =
   let st =
-    make_state ~nprocs ?config ?mode ?flush_clears ?max_reports ?batch_inserts ?jobs
-      ?queue_capacity ?budget ?predictive policy
+    make_state ~nprocs ?config ?mode ?flush_clears ?max_reports ?jobs ?queue_capacity ?budget
+      ?predictive policy
   in
   let dump () =
     ignore (sync st);

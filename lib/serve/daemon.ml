@@ -183,8 +183,7 @@ and admit t (s : Session.t) (h : Protocol.hello) =
   Rma_fault.restore saved;
   s.Session.tool <-
     Some
-      (Toolbox.make h.Protocol.tool ~nprocs:h.Protocol.nprocs
-         ?batch_inserts:h.Protocol.batch_inserts ?jobs:h.Protocol.jobs
+      (Toolbox.make h.Protocol.tool ~nprocs:h.Protocol.nprocs ?jobs:h.Protocol.jobs
          ?budget:h.Protocol.budget ?predictive:h.Protocol.predictive ());
   if s.Session.phase = Session.Queued then Atomic.decr t.g_queued;
   s.Session.phase <- Session.Streaming;
@@ -377,8 +376,12 @@ let service t (s : Session.t) =
             | Error _ -> close_session t s Session.Disconnected)
       else close_session t s Session.Disconnected
   | n ->
-      Session.push_bytes s (Bytes.sub_string buf 0 n);
-      drain t s
+      if Session.push_bytes s (Bytes.sub_string buf 0 n) then drain t s
+      else begin
+        let reason = Printf.sprintf "line longer than %d bytes" Session.max_line_bytes in
+        ignore (send t s (Protocol.error ?session:(Session.session_name s) reason));
+        close_session t s (Session.Protocol_error reason)
+      end
 
 (* Round-robin fairness: each select round services ready sessions
    starting from a rotating offset, and each service consumes at most

@@ -63,15 +63,22 @@ let chomp_cr line =
   let n = String.length line in
   if n > 0 && line.[n - 1] = '\r' then String.sub line 0 (n - 1) else line
 
+let max_line_bytes = 1 lsl 20
+
 (* Append a received chunk, peeling complete lines into the inbox. CRLF
    tolerated; the unterminated tail stays pending for the next chunk.
    Each byte is copied at most once into [pending], so a line that
-   arrives over many chunks costs time linear in its length. *)
+   arrives over many chunks costs time linear in its length. Stops at
+   the first line longer than [max_line_bytes], so [pending] never
+   holds more than that plus one chunk. *)
 let push_bytes s chunk =
   let n = String.length chunk in
   let rec go start =
     match String.index_from_opt chunk start '\n' with
-    | None -> Buffer.add_substring s.pending chunk start (n - start)
+    | None ->
+        Buffer.add_substring s.pending chunk start (n - start);
+        Buffer.length s.pending <= max_line_bytes
+    | Some nl when Buffer.length s.pending + (nl - start) > max_line_bytes -> false
     | Some nl ->
         let line =
           if Buffer.length s.pending = 0 then String.sub chunk start (nl - start)

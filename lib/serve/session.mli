@@ -69,10 +69,18 @@ val wants_read : t -> bool
     {e not} read — the kernel socket buffer back-pressures the client
     until a streaming slot frees. *)
 
-val push_bytes : t -> string -> unit
+val max_line_bytes : int
+(** Longest line a session may send, terminator excluded: 1 MiB, far
+    above any {!Rma_trace.Codec.encode_event} line and the handshake's
+    128-character session name. Fixed, so that the daemon's memory per
+    session is bounded. *)
+
+val push_bytes : t -> string -> bool
 (** Append a received chunk, moving every newly completed line (without
     its terminator; CRLF tolerated) into [inbox]. The unterminated tail
-    is kept for the next chunk. *)
+    is kept for the next chunk. Returns [false] as soon as a line,
+    complete or not, exceeds {!max_line_bytes}; the rest of the chunk is
+    then left unread and the session must be closed. *)
 
 val session_name : t -> string option
 (** The handshake's session name, once known. *)

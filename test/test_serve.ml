@@ -98,7 +98,7 @@ let int_field name line =
   | Ok j -> Option.bind (Json.member name j) Json.to_int
   | Error _ -> None
 
-let hello ?tool ?jobs ?budget ?fault ~session ~nprocs () =
+let hello ?tool ?jobs ?budget ?fault ?(extra = []) ~session ~nprocs () =
   let opt name f = function None -> [] | Some v -> [ (name, f v) ] in
   Json.to_string ~minify:true
     (Json.Obj
@@ -107,7 +107,8 @@ let hello ?tool ?jobs ?budget ?fault ~session ~nprocs () =
        @ opt "tool" (fun s -> Json.String s) tool
        @ opt "jobs" (fun j -> Json.Int j) jobs
        @ opt "budget" (fun s -> Json.String s) budget
-       @ opt "fault" (fun s -> Json.String s) fault))
+       @ opt "fault" (fun s -> Json.String s) fault
+       @ extra))
 
 (* Run one complete session against a live daemon and return the server
    lines after the admission verdict. *)
@@ -364,6 +365,81 @@ let test_metrics_label_sessions () =
   in
   ()
 
+(* A client that never sends a newline: its session is closed as
+   protocol_error once the unterminated line passes
+   [Session.max_line_bytes], while a well-behaved session streaming
+   beside it completes with the offline digest and the daemon stays up
+   for the next client. *)
+let test_endless_line_closes_only_its_session () =
+  let nprocs, events = record_kernel racy_kernel in
+  let _, digest = offline ~nprocs events in
+  let stats =
+    with_daemon @@ fun d port ->
+    let good = connect port and bad = connect port in
+    send_lines good [ hello ~session:"good" ~nprocs () ];
+    send_lines bad [ hello ~session:"endless" ~nprocs (); Codec.header ];
+    Alcotest.(check (option string)) "good admitted" (Some "admitted")
+      (Option.map line_type (recv_line good));
+    Alcotest.(check (option string)) "endless admitted" (Some "admitted")
+      (Option.map line_type (recv_line bad));
+    (* 4 MiB without a newline, interleaved with the good trace; the
+       daemon may reset the connection before all of it is written. *)
+    let chunk = String.make 65536 'x' in
+    let rec stream chunks_left lines =
+      (match lines with l :: _ -> send_lines good [ l ] | [] -> ());
+      let chunks_left =
+        if chunks_left = 0 then 0
+        else try write_all bad chunk; chunks_left - 1 with Unix.Unix_error _ -> 0
+      in
+      let lines = match lines with _ :: rest -> rest | [] -> [] in
+      if chunks_left > 0 || lines <> [] then stream chunks_left lines
+    in
+    stream 64 (trace_lines events);
+    (try Unix.shutdown good Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
+    let good_lines = recv_all good in
+    Unix.close good;
+    Alcotest.(check (option string)) "good digest matches offline replay" (Some digest)
+      (str_field "digest" (List.nth good_lines (List.length good_lines - 1)));
+    await "the endless line to be cut off" (fun () -> (Daemon.stats d).Daemon.failed = 1);
+    (try Unix.close bad with Unix.Unix_error _ -> ());
+    Alcotest.(check bool) "endless session closed as protocol_error" true
+      (List.exists
+         (fun (_, session, state) -> session = "endless" && state = "closed:protocol_error")
+         (Sessions.snapshot ()));
+    (* Still serving. *)
+    let again = run_session ~port ~session:"after" ~nprocs (trace_lines events) in
+    Alcotest.(check (option string)) "daemon still answers" (Some digest)
+      (str_field "digest" (List.nth again (List.length again - 1)))
+  in
+  Alcotest.(check int) "only the endless session failed" 1 stats.Daemon.failed;
+  Alcotest.(check int) "both good sessions completed" 2 stats.Daemon.completed
+
+(* Handshake keys the daemon does not know are ignored. [batch_inserts]
+   is one: older clients still send it, as a boolean either way. *)
+let test_unknown_hello_keys_ignored () =
+  let nprocs, events = record_kernel racy_kernel in
+  let _, digest = offline ~nprocs events in
+  let stats =
+    with_daemon @@ fun _d port ->
+    List.iter
+      (fun batch ->
+        let session = Printf.sprintf "batch_inserts=%b" batch in
+        let fd = connect port in
+        Fun.protect ~finally:(fun () -> Unix.close fd) @@ fun () ->
+        let extra = [ ("batch_inserts", Json.Bool batch) ] in
+        send_lines fd (hello ~extra ~session ~nprocs () :: trace_lines events);
+        (try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
+        match recv_all fd with
+        | admitted :: _ as lines ->
+            Alcotest.(check string) (session ^ " admitted") "admitted" (line_type admitted);
+            Alcotest.(check (option string)) (session ^ " digest matches offline replay")
+              (Some digest)
+              (str_field "digest" (List.nth lines (List.length lines - 1)))
+        | [] -> Alcotest.fail "no server lines")
+      [ true; false ]
+  in
+  Alcotest.(check int) "both completed" 2 stats.Daemon.completed
+
 (* --- line splitting --------------------------------------------------- *)
 
 (* [Session.push_bytes] over chunk boundaries: a line split across
@@ -382,7 +458,9 @@ let test_push_bytes_splits_lines () =
         lines
       in
       let pending () = Buffer.contents s.Rma_serve.Session.pending in
-      let push = Rma_serve.Session.push_bytes s in
+      let push chunk =
+        Alcotest.(check bool) "within the line bound" true (Rma_serve.Session.push_bytes s chunk)
+      in
       push "hel";
       Alcotest.(check (list string)) "no newline yet" [] (inbox ());
       Alcotest.(check string) "tail pending" "hel" (pending ());
@@ -398,7 +476,18 @@ let test_push_bytes_splits_lines () =
       push "";
       push "\n\n";
       Alcotest.(check (list string)) "empty chunk, then empty lines" [ ""; "" ] (inbox ());
-      Alcotest.(check string) "nothing pending at the end" "" (pending ()))
+      Alcotest.(check string) "nothing pending at the end" "" (pending ());
+      (* The line bound: a line of exactly [max_line_bytes] passes, one
+         byte more fails, whether it arrives whole or as a tail. *)
+      let bound = Rma_serve.Session.max_line_bytes in
+      push (String.make bound 'x' ^ "\n");
+      Alcotest.(check int) "longest allowed line" bound (String.length (List.hd (inbox ())));
+      push (String.make (bound - 1) 'y');
+      Alcotest.(check bool) "tail one byte over the bound" false
+        (Rma_serve.Session.push_bytes s "yy");
+      let s = Rma_serve.Session.create ~id:2 ~fd in
+      Alcotest.(check bool) "complete line one byte over the bound" false
+        (Rma_serve.Session.push_bytes s (String.make (bound + 1) 'z' ^ "\n")))
 
 let suite =
   [
@@ -413,4 +502,8 @@ let suite =
     Alcotest.test_case "session churn soak leaks nothing" `Quick test_session_churn_soak;
     Alcotest.test_case "/metrics labels sessions by run id" `Quick test_metrics_label_sessions;
     Alcotest.test_case "push_bytes splits lines across chunks" `Quick test_push_bytes_splits_lines;
+    Alcotest.test_case "an endless line closes only its own session" `Quick
+      test_endless_line_closes_only_its_session;
+    Alcotest.test_case "unknown handshake keys are ignored" `Quick
+      test_unknown_hello_keys_ignored;
   ]

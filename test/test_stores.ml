@@ -205,7 +205,7 @@ let test_dominance_absorption_imprecision () =
   expect_inserted "remote read slips through"
     (Disjoint_store.insert store (acc ~issuer:1 ~seq:3 ~line:3 ~op:"MPI_Get" 0 7 Access_kind.Rma_read))
 
-(* --- Insert fast path: finger cache and coalescing batch buffer. --- *)
+(* --- Insert fast path: the finger cache. --- *)
 
 let adjacent_run ?(n = 8) ?(lo0 = 0) ?(line = 2) store =
   for i = 0 to n - 1 do
@@ -214,19 +214,22 @@ let adjacent_run ?(n = 8) ?(lo0 = 0) ?(line = 2) store =
          (acc ~seq:(i + 1) ~line ~op:"MPI_Get" (lo0 + i) (lo0 + i) Access_kind.Rma_write))
   done
 
+(* Whether the store holds a finger run outside its tree. *)
+let has_pending store =
+  Astring.String.is_infix ~affix:"pending" (Format.asprintf "%a" Disjoint_store.pp store)
+
 let test_finger_absorbs_adjacent_run () =
   let store = Disjoint_store.create () in
   adjacent_run ~n:8 store;
   Alcotest.(check int) "one coalesced run" 1 (Disjoint_store.size store);
   let s = Disjoint_store.fast_path_stats store in
   Alcotest.(check int) "every extension is a finger hit" 7 s.Disjoint_store.finger_hits;
-  Alcotest.(check int) "every extension coalesced" 7 s.Disjoint_store.batch_coalesced;
   Alcotest.(check bool) "fast-path invariants hold" true (Disjoint_store.self_check store)
 
 let test_overlap_after_run_flushes_and_races () =
   (* Finger invalidation: an overlapping conflicting access after a
-     coalesced run must flush the pending entry and race against the
-     full hull, exactly as the unbatched store would. *)
+     coalesced run must flush the finger run and race against the full
+     hull, exactly as the fast-path-off store would. *)
   let store = Disjoint_store.create () in
   adjacent_run ~n:8 store;
   (match Disjoint_store.insert store (acc ~seq:50 ~line:9 ~op:"Store" 3 3 Access_kind.Local_write) with
@@ -235,12 +238,11 @@ let test_overlap_after_run_flushes_and_races () =
       Alcotest.(check bool) "existing is the coalesced hull" true
         (Interval.equal existing.Access.interval (Interval.make ~lo:0 ~hi:7)));
   Alcotest.(check int) "run flushed, racy access not recorded" 1 (Disjoint_store.size store);
-  Alcotest.(check int) "one flush event" 1
-    (Disjoint_store.fast_path_stats store).Disjoint_store.batch_flushes;
+  Alcotest.(check bool) "run now in the tree" false (has_pending store);
   Alcotest.(check bool) "fast-path invariants hold" true (Disjoint_store.self_check store)
 
 let test_clear_drops_pending_runs () =
-  let store = Disjoint_store.create ~batch:true () in
+  let store = Disjoint_store.create () in
   List.iter
     (fun a -> expect_inserted "run" (Disjoint_store.insert store a))
     [
@@ -248,9 +250,11 @@ let test_clear_drops_pending_runs () =
       acc ~seq:2 ~line:1 ~op:"MPI_Get" 1 1 Access_kind.Rma_write;
       acc ~seq:3 ~line:2 ~op:"MPI_Put" 5000 5007 Access_kind.Rma_read;
     ];
-  Alcotest.(check int) "two pending runs" 2 (Disjoint_store.size store);
+  Alcotest.(check int) "one tree node and the finger run" 2 (Disjoint_store.size store);
+  Alcotest.(check bool) "the last run is pending" true (has_pending store);
   Disjoint_store.clear store;
-  Alcotest.(check int) "clear drops pending runs too" 0 (Disjoint_store.size store);
+  Alcotest.(check int) "clear drops the finger run too" 0 (Disjoint_store.size store);
+  Alcotest.(check bool) "nothing pending" false (has_pending store);
   Alcotest.(check bool) "to_list is empty" true (Disjoint_store.to_list store = []);
   Alcotest.(check bool) "fast-path invariants hold" true (Disjoint_store.self_check store);
   expect_inserted "store usable after clear"
@@ -264,14 +268,11 @@ let test_merge_off_disables_fast_path () =
     List.init 8 (fun i -> acc ~seq:(i + 1) ~line:2 ~op:"MPI_Get" i i Access_kind.Rma_write)
   in
   let feed store = List.iter (fun a -> ignore (Disjoint_store.insert store a)) stream in
-  let no_merge = Disjoint_store.create ~merge:false ~batch:true () in
+  let no_merge = Disjoint_store.create ~merge:false () in
   feed no_merge;
-  Alcotest.(check bool) "batch request ignored without merging" false
-    (Disjoint_store.batching no_merge);
-  let s = Disjoint_store.fast_path_stats no_merge in
-  Alcotest.(check int) "no finger hits" 0 s.Disjoint_store.finger_hits;
-  Alcotest.(check int) "no coalesces" 0 s.Disjoint_store.batch_coalesced;
-  Alcotest.(check int) "no flushes" 0 s.Disjoint_store.batch_flushes;
+  Alcotest.(check int) "no finger hits" 0
+    (Disjoint_store.fast_path_stats no_merge).Disjoint_store.finger_hits;
+  Alcotest.(check bool) "no finger run" false (has_pending no_merge);
   Alcotest.(check int) "one node per access" 8 (Disjoint_store.size no_merge);
   let slow = Disjoint_store.create ~merge:false ~fast_path:false () in
   feed slow;
@@ -280,11 +281,10 @@ let test_merge_off_disables_fast_path () =
     (Disjoint_store.stats no_merge).Store_intf.tree_ops
 
 let test_check_only_flushes_pending () =
-  (* Regression: check_only with a non-empty batch buffer must flush it
-     first — the probe's verdict is computed against exactly the nodes
-     an unbatched store would hold — without inserting the probe or
-     closing the buffer. *)
-  let store = Disjoint_store.create ~batch:true () in
+  (* Regression: check_only with a finger run must flush it first — the
+     probe's verdict is computed against exactly the nodes a
+     fast-path-off store would hold — without inserting the probe. *)
+  let store = Disjoint_store.create () in
   adjacent_run ~n:6 store;
   (match
      Disjoint_store.check_only store (acc ~seq:50 ~line:9 ~op:"Store" 2 2 Access_kind.Local_write)
@@ -294,54 +294,24 @@ let test_check_only_flushes_pending () =
       Alcotest.(check bool) "existing is the flushed hull" true
         (Interval.equal existing.Access.interval (Interval.make ~lo:0 ~hi:5)));
   Alcotest.(check int) "probe was not inserted" 1 (Disjoint_store.size store);
-  Alcotest.(check int) "buffer flushed once" 1
-    (Disjoint_store.fast_path_stats store).Disjoint_store.batch_flushes;
-  Alcotest.(check bool) "buffer stays open after the flush" true (Disjoint_store.batching store)
-
-let test_race_straddles_pending_flush () =
-  (* Regression: a conflicting insert near one of several pending runs
-     flushes only the interacting run, races against it, and leaves the
-     other run buffered — final state identical to the unbatched store. *)
-  let run_a = List.init 4 (fun i -> acc ~seq:(i + 1) ~line:1 ~op:"MPI_Get" i i Access_kind.Rma_write) in
-  let run_b =
-    List.init 4 (fun i ->
-        acc ~seq:(i + 10) ~line:2 ~op:"MPI_Get" (5000 + i) (5000 + i) Access_kind.Rma_write)
-  in
-  let conflict = acc ~seq:20 ~line:5 ~op:"Store" 1 1 Access_kind.Local_write in
-  let feed store =
-    List.iter (fun a -> expect_inserted "run" (Disjoint_store.insert store a)) (run_a @ run_b);
-    match Disjoint_store.insert store conflict with
-    | Store_intf.Inserted -> Alcotest.fail "straddling conflict not flagged"
-    | Store_intf.Race_detected { existing; _ } -> existing
-  in
-  let batched = Disjoint_store.create ~batch:true () in
-  let existing = feed batched in
-  Alcotest.(check bool) "race names the coalesced run" true
-    (Interval.equal existing.Access.interval (Interval.make ~lo:0 ~hi:3));
-  Alcotest.(check int) "only the straddled run was flushed" 1
-    (Disjoint_store.fast_path_stats batched).Disjoint_store.batch_flushes;
-  Alcotest.(check bool) "fast-path invariants hold" true (Disjoint_store.self_check batched);
-  let reference = Disjoint_store.create ~fast_path:false () in
-  let existing_ref = feed reference in
-  Alcotest.(check bool) "batched and unbatched name the same node" true
-    (Access.equal existing existing_ref);
-  Disjoint_store.batch_flush batched;
-  Alcotest.(check bool) "final interval sets agree" true
-    (List.equal Access.equal (Disjoint_store.to_list reference) (Disjoint_store.to_list batched))
+  Alcotest.(check bool) "finger run flushed into the tree" false (has_pending store);
+  Alcotest.(check bool) "fast-path invariants hold" true (Disjoint_store.self_check store);
+  adjacent_run ~n:2 ~lo0:100 store;
+  Alcotest.(check bool) "later runs still take the fast path" true (has_pending store)
 
 let test_recorder_sees_precoalesce_origins () =
   (* Regression: coalescing must not hide origins from the flight
      recorder, and the epoch counter must advance under note_epoch even
-     with a non-empty batch buffer. *)
+     with a finger run pending. *)
   Flight_recorder.enable ();
   Fun.protect ~finally:Flight_recorder.disable (fun () ->
-      let store = Disjoint_store.create ~batch:true () in
+      let store = Disjoint_store.create () in
       adjacent_run ~n:5 ~lo0:0 ~line:2 store;
       Disjoint_store.note_epoch store;
       adjacent_run ~n:3 ~lo0:10 ~line:3 store;
       let ring = Option.get (Disjoint_store.recorder store) in
       Alcotest.(check int) "every pre-coalesce origin recorded" 8 (Flight_recorder.length ring);
-      Alcotest.(check int) "epoch advanced with a pending buffer" 1
+      Alcotest.(check int) "epoch advanced with a finger run" 1
         (Flight_recorder.current_epoch ring);
       let epochs =
         List.map
@@ -352,6 +322,48 @@ let test_recorder_sees_precoalesce_origins () =
         [ 0; 0; 0; 0; 0; 1; 1; 1 ] epochs;
       let hits = Flight_recorder.history ring (Interval.make ~lo:2 ~hi:2) in
       Alcotest.(check int) "history pinpoints the one contributing origin" 1 (List.length hits))
+
+(* [Disjoint_store.create ?batch] and [Toolbox.make ?batch_inserts] are
+   accepted and ignored, for callers written against the removed deeper
+   coalescing buffer: either value must give what the defaults give. *)
+let test_batch_compat_parameters_are_no_ops () =
+  let stream =
+    List.init 40 (fun i -> acc ~seq:(i + 1) ~line:2 ~op:"MPI_Get" i i Access_kind.Rma_write)
+    @ [ acc ~issuer:1 ~seq:41 ~line:9 ~op:"MPI_Put" 20 20 Access_kind.Rma_write ]
+  in
+  let run store =
+    let verdicts = List.map (fun a -> is_race (Disjoint_store.insert store a)) stream in
+    (verdicts, Disjoint_store.stats store, Disjoint_store.to_list store)
+  in
+  let reference = run (Disjoint_store.create ()) in
+  List.iter
+    (fun batch ->
+      Alcotest.(check bool)
+        (Printf.sprintf "Disjoint_store.create ~batch:%b = default" batch)
+        true
+        (run (Disjoint_store.create ~batch ()) = reference))
+    [ true; false ];
+  let kernel =
+    Option.get
+      (Rma_microbench.Scenario.Kernel.find "rrb_lockall_remote_conflict_put_put_race")
+  in
+  let verdict ?batch_inserts () =
+    let tool =
+      Rma_analysis.Toolbox.make Rma_analysis.Toolbox.Contribution
+        ~nprocs:kernel.Rma_microbench.Scenario.Kernel.k_nprocs ?batch_inserts ()
+    in
+    let v = Rma_microbench.Runner.run_kernel ~tool kernel in
+    ( Rma_report.Race_export.verdict_digest v.Rma_microbench.Runner.k_reports,
+      tool.Rma_analysis.Tool.bst_summary () )
+  in
+  let reference = verdict () in
+  List.iter
+    (fun batch_inserts ->
+      Alcotest.(check bool)
+        (Printf.sprintf "Toolbox.make ~batch_inserts:%b = default" batch_inserts)
+        true
+        (verdict ~batch_inserts () = reference))
+    [ true; false ]
 
 (* --- Properties. --- *)
 
@@ -537,7 +549,8 @@ let suite =
     Alcotest.test_case "merge-off disables the fast path" `Quick test_merge_off_disables_fast_path;
     Alcotest.test_case "check_only flushes the pending buffer" `Quick
       test_check_only_flushes_pending;
-    Alcotest.test_case "race straddling a pending flush" `Quick test_race_straddles_pending_flush;
+    Alcotest.test_case "batch compatibility parameters are no-ops" `Quick
+      test_batch_compat_parameters_are_no_ops;
     Alcotest.test_case "recorder sees pre-coalesce origins" `Quick
       test_recorder_sees_precoalesce_origins;
     QCheck_alcotest.to_alcotest prop_disjoint_invariant;
