@@ -25,6 +25,8 @@
    the reproduction target. *)
 
 open Rma_report
+module Run_config = Rma_analysis.Run_config
+module Toolbox = Rma_analysis.Toolbox
 
 let section title = Printf.printf "\n=== %s ===\n\n%!" title
 
@@ -36,9 +38,9 @@ let section title = Printf.printf "\n=== %s ===\n\n%!" title
 
 let metric_key parts = String.concat "_" parts
 
-let run_table2 () =
+let run_table2 ~run () =
   section "Table 2";
-  let rows, rendered = Experiments.table2 () in
+  let rows, rendered = Experiments.table2 ~run () in
   print_string rendered;
   List.concat_map
     (fun (r : Experiments.verdict_row) ->
@@ -50,9 +52,9 @@ let run_table2 () =
       ])
     rows
 
-let run_table3 () =
+let run_table3 ~run () =
   section "Table 3";
-  let rows, rendered = Experiments.table3 () in
+  let rows, rendered = Experiments.table3 ~run () in
   print_string rendered;
   print_endline
     "Note: the paper prints TP=41/TN=107 for RMA-Analyzer next to FP=6/FN=0, which cannot all\n\
@@ -69,9 +71,9 @@ let run_table3 () =
       ])
     rows
 
-let run_table4 ~scale ~ranks () =
+let run_table4 ~run ~scale ~ranks () =
   section "Table 4";
-  let rows, rendered = Experiments.table4 ~scale ?ranks () in
+  let rows, rendered = Experiments.table4 ~run ~scale ?ranks () in
   print_string rendered;
   List.concat_map
     (fun (r : Experiments.table4_row) ->
@@ -100,9 +102,9 @@ let run_fig8 () =
     ("contribution_nodes", float_of_int r.Experiments.contribution_nodes);
   ]
 
-let run_fig9 () =
+let run_fig9 ~run () =
   section "Figure 9";
-  print_string (Experiments.fig9 ());
+  print_string (Experiments.fig9 ~run ());
   []
 
 let perf_metrics rows =
@@ -120,27 +122,27 @@ let perf_metrics rows =
       ])
     rows
 
-let run_fig10 () =
+let run_fig10 ~run () =
   section "Figure 10";
-  let rows, rendered = Experiments.fig10 () in
+  let rows, rendered = Experiments.fig10 ~run () in
   print_string rendered;
   perf_metrics rows
 
-let run_fig11 ~scale ~ranks () =
+let run_fig11 ~run ~scale ~ranks () =
   section "Figure 11";
-  let rows, rendered = Experiments.fig11 ~scale ?ranks () in
+  let rows, rendered = Experiments.fig11 ~run ~scale ?ranks () in
   print_string rendered;
   perf_metrics rows
 
-let run_fig12 ~scale ~ranks () =
+let run_fig12 ~run ~scale ~ranks () =
   section "Figure 12";
-  let rows, rendered = Experiments.fig12 ~scale ?ranks () in
+  let rows, rendered = Experiments.fig12 ~run ~scale ?ranks () in
   print_string rendered;
   perf_metrics rows
 
-let run_ablation () =
+let run_ablation ~run () =
   section "Ablations";
-  let rows, rendered = Experiments.ablation () in
+  let rows, rendered = Experiments.ablation ~run () in
   print_string rendered;
   List.concat_map
     (fun (r : Experiments.ablation_row) ->
@@ -150,9 +152,9 @@ let run_ablation () =
       ])
     rows
 
-let run_par ~scale () =
+let run_par ~run ~scale () =
   section "Parallel sharded engine";
-  let rows, rendered = Experiments.par ~scale () in
+  let rows, rendered = Experiments.par ~run ~scale () in
   print_string rendered;
   List.concat_map
     (fun (r : Experiments.par_row) ->
@@ -225,7 +227,7 @@ let run_fastpath () =
 (* detector inner loop that experiment stresses.                        *)
 (* ------------------------------------------------------------------ *)
 
-let micro_tests () =
+let micro_tests ~run () =
   let open Bechamel in
   let open Rma_access in
   let open Rma_store in
@@ -240,10 +242,7 @@ let micro_tests () =
     | None -> failwith "scenario missing"
   in
   let table3_verdict () =
-    let tool =
-      Rma_analysis.Rma_analyzer.create ~nprocs:3 ~mode:Rma_analysis.Tool.Collect
-        Rma_analysis.Rma_analyzer.Contribution
-    in
+    let tool = Run_config.tool run Toolbox.Contribution ~nprocs:3 () in
     ignore (Rma_microbench.Runner.run ~tool scenario)
   in
   (* Table 4 / Figures 11-12 inner loop: MiniVite-style stride-16 access
@@ -295,13 +294,13 @@ let micro_tests () =
     Test.make ~name:"fig5: fragmentation of one overlapping insert" (Staged.stage fig5_op);
   ]
 
-let run_micro () =
+let run_micro ~run () =
   section "Bechamel micro-benchmarks (ns per run, OLS estimate)";
   let open Bechamel in
   let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
   let instances = [ Toolkit.Instance.monotonic_clock ] in
   let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-  let tests = Test.make_grouped ~name:"rma" (micro_tests ()) in
+  let tests = Test.make_grouped ~name:"rma" (micro_tests ~run ()) in
   let raw = Benchmark.all cfg instances tests in
   let results = Analyze.all ols Toolkit.Instance.monotonic_clock raw in
   let rows = Hashtbl.fold (fun name ols_result acc -> (name, ols_result) :: acc) results [] in
@@ -319,7 +318,7 @@ let run_micro () =
 (* Hybrid MPI+threads kernel sweep: accuracy of the contribution
    analyzer over the hyb_* corpus across two interleave seeds, plus the
    end-to-end wall cost of the threaded simulation. *)
-let run_hybrid () =
+let run_hybrid ~run () =
   section "Hybrid MPI+threads kernels";
   let module Scenario = Rma_microbench.Scenario in
   let module Runner = Rma_microbench.Runner in
@@ -332,8 +331,7 @@ let run_hybrid () =
       List.iter
         (fun interleave_seed ->
           let tool =
-            Rma_analysis.Rma_analyzer.create ~nprocs:k.Scenario.Kernel.k_nprocs
-              ~mode:Rma_analysis.Tool.Collect Rma_analysis.Rma_analyzer.Contribution
+            Run_config.tool run Toolbox.Contribution ~nprocs:k.Scenario.Kernel.k_nprocs ()
           in
           let v = Runner.run_kernel ~interleave_seed ~tool k in
           incr total;
@@ -356,7 +354,7 @@ let run_hybrid () =
    the weak-order bookkeeping must stay under 2x the observed-only
    analysis — plus the extra races predictive mode surfaces at a
    schedule where the observed analysis misses them. *)
-let run_predictive () =
+let run_predictive ~run () =
   section "Predictive mode (weak-order analysis)";
   let module Scenario = Rma_microbench.Scenario in
   let module Runner = Rma_microbench.Runner in
@@ -370,9 +368,8 @@ let run_predictive () =
         List.iter
           (fun interleave_seed ->
             let tool =
-              Rma_analysis.Rma_analyzer.create ~nprocs:k.Scenario.Kernel.k_nprocs
-                ~mode:Rma_analysis.Tool.Collect ~predictive
-                Rma_analysis.Rma_analyzer.Contribution
+              Run_config.tool { run with Run_config.predictive } Toolbox.Contribution
+                ~nprocs:k.Scenario.Kernel.k_nprocs ()
             in
             let v = Runner.run_kernel ~interleave_seed ~tool k in
             List.iter
@@ -556,6 +553,7 @@ let () =
   let rss_threshold = ref None in
   let eps_threshold = ref None in
   let compare_paths = ref None in
+  let jobs = ref None and fault = ref None and budget = ref None in
   let selected = ref [] in
   let rec parse = function
     | [] -> ()
@@ -603,18 +601,18 @@ let () =
         compare_paths := Some (old_path, new_path);
         parse rest
     | "--jobs" :: v :: rest ->
-        Rma_par.set_default_jobs (int_of_string v);
+        jobs := Some (int_of_string v);
         parse rest
     | "--fault-plan" :: v :: rest ->
         (match Rma_fault.Plan.of_spec v with
-        | Ok plan -> Rma_fault.install plan
+        | Ok plan -> fault := Some plan
         | Error msg ->
             Printf.eprintf "bench: bad --fault-plan %S: %s\n" v msg;
             exit 2);
         parse rest
     | "--budget" :: v :: rest ->
         (match Rma_fault.Budget.of_spec v with
-        | Ok budget -> Rma_fault.Budget.set_default (Some budget)
+        | Ok b -> budget := Some b
         | Error msg ->
             Printf.eprintf "bench: bad --budget %S: %s\n" v msg;
             exit 2);
@@ -631,11 +629,12 @@ let () =
   | None -> ());
   let selected = if !selected = [] then [ "all" ] else List.rev !selected in
   let scale = !scale and ranks = !ranks in
+  (* One run config, and so one fault injector, for the whole invocation. *)
+  let run = Run_config.make ?jobs:!jobs ?budget:!budget ?fault:!fault () in
   (* --json implies Obs: the record snapshots the counter registry. *)
   if !obs_out <> None || !obs_summary || !json_out <> None || !obs_events <> None
      || !obs_serve <> None
   then Rma_obs.Obs.enable ();
-  Rma_obs.Events.configure_from_env ();
   (match !obs_events with
   | Some path -> Rma_obs.Events.set_sink path
   | None -> ());
@@ -649,21 +648,21 @@ let () =
     | None -> None
   in
   let dispatch = function
-    | "table2" -> run_table2 ()
-    | "table3" -> run_table3 ()
-    | "table4" -> run_table4 ~scale ~ranks ()
+    | "table2" -> run_table2 ~run ()
+    | "table3" -> run_table3 ~run ()
+    | "table4" -> run_table4 ~run ~scale ~ranks ()
     | "fig5" -> run_fig5 ()
     | "fig8" -> run_fig8 ()
-    | "fig9" -> run_fig9 ()
-    | "fig10" -> run_fig10 ()
-    | "fig11" -> run_fig11 ~scale ~ranks ()
-    | "fig12" -> run_fig12 ~scale ~ranks ()
-    | "ablation" -> run_ablation ()
-    | "par" -> run_par ~scale ()
+    | "fig9" -> run_fig9 ~run ()
+    | "fig10" -> run_fig10 ~run ()
+    | "fig11" -> run_fig11 ~run ~scale ~ranks ()
+    | "fig12" -> run_fig12 ~run ~scale ~ranks ()
+    | "ablation" -> run_ablation ~run ()
+    | "par" -> run_par ~run ~scale ()
     | "fastpath" -> run_fastpath ()
-    | "micro" -> run_micro ()
-    | "hybrid" -> run_hybrid ()
-    | "predictive" -> run_predictive ()
+    | "micro" -> run_micro ~run ()
+    | "hybrid" -> run_hybrid ~run ()
+    | "predictive" -> run_predictive ~run ()
     | "serve" -> run_serve ()
     | "all" -> []
     | other ->

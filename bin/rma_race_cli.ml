@@ -57,8 +57,7 @@ let diag_term =
       & info [ "obs-events" ] ~docv:"FILE"
           ~doc:
             "Write the structured event journal (epoch opens/closes, shard crashes and \
-             recoveries, budget degradations, codec errors) as JSON lines to $(docv). Same as \
-             setting $(b,RMA_OBS_EVENTS).")
+             recoveries, budget degradations, codec errors) as JSON lines to $(docv).")
   in
   let level =
     Arg.(
@@ -67,7 +66,7 @@ let diag_term =
       & info [ "obs-level" ] ~docv:"LEVEL"
           ~doc:
             "Minimum event-journal level: debug, info, warn or error (default info; debug admits \
-             per-epoch events). Same as setting $(b,RMA_OBS_LEVEL).")
+             per-epoch events).")
   in
   let serve =
     Arg.(
@@ -106,8 +105,7 @@ let diag_term =
           ~doc:
             "Shard the analyzer's (rank, window) interval trees over $(docv) worker domains \
              (sharded parallel engine; verdicts, reports and exports are byte-identical to the \
-             sequential analyzer). 1 = sequential. Same as setting $(b,RMA_JOBS). Baseline and \
-             MUST ignore it.")
+             sequential analyzer). 1 = sequential. Baseline and MUST ignore it.")
   in
   let fault_plan =
     Arg.(
@@ -118,8 +116,7 @@ let diag_term =
             "Install a deterministic fault-injection plan for the run, e.g. \
              $(b,seed=42,worker_crash=0.05,queue_overflow=0.02). Sites: trace_corrupt, \
              trace_truncate, worker_crash, queue_overflow; worker crashes are recovered by \
-             replaying the shard journal at the next epoch barrier. Same as setting \
-             $(b,RMA_FAULT).")
+             replaying the shard journal at the next epoch barrier.")
   in
   let budget =
     Arg.(
@@ -130,7 +127,7 @@ let diag_term =
             "Bound every interval store, e.g. $(b,nodes=4096,policy=spill) or the shorthand \
              $(b,4096:spill). Policies: fail (raise on overflow), spill (drop oldest completed \
              epoch, counted in degraded_drops), coarsen (merge ignoring debug info, downgraded \
-             confidence in SARIF). Same as setting $(b,RMA_BUDGET).")
+             confidence in SARIF).")
   in
   let predictive =
     Arg.(
@@ -141,7 +138,7 @@ let diag_term =
              unordered under MPI synchronization semantics alone — no fence or fully flushed \
              barrier between them — are reported as schedulable races ($(b,predicted) in the \
              JSON/SARIF exports, with a witness reordering rendered by $(b,explain)), even when \
-             the observed schedule kept them apart. Same as setting $(b,RMA_PREDICTIVE=1).")
+             the observed schedule kept them apart.")
   in
   let mk obs_out obs_summary obs_prometheus obs_events obs_level obs_serve obs_sample races_json
       races_sarif jobs fault_plan budget predictive =
@@ -171,7 +168,7 @@ let with_diag ?workload opts f = Diag.with_diag ~prog:"rma_race" ~generator ?wor
 
 let tool_enum = List.map (fun k -> (Toolbox.slug k, k)) Toolbox.all
 
-let make_tool choice ~nprocs ~config = Toolbox.make choice ~nprocs ~config ()
+module Run_config = Rma_analysis.Run_config
 
 let tool_arg =
   Arg.(
@@ -184,15 +181,14 @@ let ranks_arg default =
 
 let seed_arg = Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc:"Scheduler seed.")
 
-let base_config = { Mpi_sim.Config.default with Mpi_sim.Config.analysis_overhead_scale = 2.0 }
+(* The simulator config of a run: a parallel analyzer times itself
+   (critical-path model at epoch barriers), so inline wall-time charging
+   is off when the run shards. *)
+let config run =
+  Run_config.sim_config run
+    { Mpi_sim.Config.default with Mpi_sim.Config.analysis_overhead_scale = 2.0 }
 
-(* Read at tool-creation time, after [with_diag] applied [--jobs]: a
-   parallel analyzer times itself (critical-path model at epoch
-   barriers), so inline wall-time charging must be off. *)
-let config () =
-  if Rma_par.default_jobs () > 1 then
-    { base_config with Mpi_sim.Config.analysis_self_timed = true }
-  else base_config
+let make_tool run choice ~nprocs ~config = Run_config.tool run choice ~nprocs ~config ()
 
 let print_tool_outcome tool =
   let total = tool.Tool.race_count () in
@@ -218,9 +214,9 @@ let print_tool_outcome tool =
 
 let suite_cmd =
   let run obs tool_choice =
-    with_diag obs @@ fun () ->
-    let config = config () in
-    let tool = make_tool tool_choice ~nprocs:3 ~config in
+    with_diag obs @@ fun run ->
+    let config = config run in
+    let tool = make_tool run tool_choice ~nprocs:3 ~config in
     match tool_choice with
     | Toolbox.Baseline ->
         print_endline "the baseline detects nothing; pick a real tool";
@@ -253,14 +249,14 @@ let code_cmd =
   in
   let run obs tool_choice name =
     with_diag ~workload:("code", [ ("tool", Toolbox.slug tool_choice); ("code", name) ]) obs
-    @@ fun () ->
+    @@ fun run ->
     match Rma_microbench.Scenario.find name with
     | None ->
         Printf.eprintf "unknown code %S\n" name;
         exit 2
     | Some s ->
-        let config = config () in
-        let tool = make_tool tool_choice ~nprocs:3 ~config in
+        let config = config run in
+        let tool = make_tool run tool_choice ~nprocs:3 ~config in
         let v = Rma_microbench.Runner.run ~tool s in
         Printf.printf "%s: ground truth %s; %s says %s [%s]\n" name
           (if s.Rma_microbench.Scenario.racy then "RACE" else "safe")
@@ -284,8 +280,7 @@ let interleave_seed_arg =
     & info [ "interleave-seed" ] ~docv:"SEED"
         ~doc:
           "Decouple the scheduler's fiber-interleaving choices from the data-level seed. \
-           Defaults to $(b,RMA_INTERLEAVE_SEED) when set; otherwise scheduling draws from \
-           $(b,--seed) exactly as before.")
+           Without it, scheduling draws from $(b,--seed).")
 
 let kernel_cmd =
   let name_arg =
@@ -294,14 +289,16 @@ let kernel_cmd =
   in
   let run obs tool_choice name seed interleave_seed =
     with_diag ~workload:("kernel", [ ("tool", Toolbox.slug tool_choice); ("kernel", name) ]) obs
-    @@ fun () ->
+    @@ fun run ->
     match Rma_microbench.Scenario.Kernel.find name with
     | None ->
         Printf.eprintf "unknown kernel %S\n" name;
         exit 2
     | Some k ->
-        let config = config () in
-        let tool = make_tool tool_choice ~nprocs:k.Rma_microbench.Scenario.Kernel.k_nprocs ~config in
+        let config = config run in
+        let tool =
+          make_tool run tool_choice ~nprocs:k.Rma_microbench.Scenario.Kernel.k_nprocs ~config
+        in
         let v = Rma_microbench.Runner.run_kernel ~seed ?interleave_seed ~tool k in
         Printf.printf "%s: ground truth %s; %s says %s\n" name
           (if k.Rma_microbench.Scenario.Kernel.k_racy then "RACE" else "safe")
@@ -340,8 +337,8 @@ let minivite_cmd =
             ("inject", string_of_bool inject);
           ] )
       obs
-    @@ fun () ->
-    let config = config () in
+    @@ fun run ->
+    let config = config run in
     let params =
       {
         Minivite.Louvain.default_params with
@@ -350,7 +347,7 @@ let minivite_cmd =
         inject_race = inject;
       }
     in
-    let tool = make_tool tool_choice ~nprocs ~config in
+    let tool = make_tool run tool_choice ~nprocs ~config in
     let observer = match tool_choice with Toolbox.Baseline -> None | _ -> Some tool.Tool.observer in
     let result, summary = Minivite.Louvain.run params ~nprocs ~seed ~config ?observer () in
     Printf.printf
@@ -388,12 +385,12 @@ let cfd_cmd =
             ("cells", string_of_int cells);
           ] )
       obs
-    @@ fun () ->
-    let config = config () in
+    @@ fun run ->
+    let config = config run in
     let params =
       { Cfd_proxy.Halo.default_params with Cfd_proxy.Halo.iterations; cells_per_chunk = cells }
     in
-    let tool = make_tool tool_choice ~nprocs ~config in
+    let tool = make_tool run tool_choice ~nprocs ~config in
     let observer = match tool_choice with Toolbox.Baseline -> None | _ -> Some tool.Tool.observer in
     let result, summary = Cfd_proxy.Halo.run params ~nprocs ~seed ~config ?observer () in
     Printf.printf "cfd-proxy: %d ranks, %d iterations — checksum %.6g, %d puts\n" nprocs iterations
@@ -422,20 +419,20 @@ let experiment_cmd =
     Arg.(value & opt float 0.1 & info [ "scale" ] ~docv:"S" ~doc:"MiniVite input scale factor.")
   in
   let run obs which scale =
-    with_diag obs @@ fun () ->
+    with_diag obs @@ fun run ->
     let open Rma_report in
     (match which with
-    | "table2" -> print_string (snd (Experiments.table2 ()))
-    | "table3" -> print_string (snd (Experiments.table3 ()))
-    | "table4" -> print_string (snd (Experiments.table4 ~scale ()))
+    | "table2" -> print_string (snd (Experiments.table2 ~run ()))
+    | "table3" -> print_string (snd (Experiments.table3 ~run ()))
+    | "table4" -> print_string (snd (Experiments.table4 ~run ~scale ()))
     | "fig5" -> print_string (Experiments.fig5 ())
     | "fig8" -> print_string (snd (Experiments.fig8 ()))
-    | "fig9" -> print_string (Experiments.fig9 ())
-    | "fig10" -> print_string (snd (Experiments.fig10 ()))
-    | "fig11" -> print_string (snd (Experiments.fig11 ~scale ()))
-    | "fig12" -> print_string (snd (Experiments.fig12 ~scale ()))
-    | "ablation" -> print_string (snd (Experiments.ablation ()))
-    | "par" -> print_string (snd (Experiments.par ~scale ()))
+    | "fig9" -> print_string (Experiments.fig9 ~run ())
+    | "fig10" -> print_string (snd (Experiments.fig10 ~run ()))
+    | "fig11" -> print_string (snd (Experiments.fig11 ~run ~scale ()))
+    | "fig12" -> print_string (snd (Experiments.fig12 ~run ~scale ()))
+    | "ablation" -> print_string (snd (Experiments.ablation ~run ()))
+    | "par" -> print_string (snd (Experiments.par ~run ~scale ()))
     | other ->
         Printf.eprintf "unknown experiment %S\n" other;
         exit 2);
@@ -462,8 +459,8 @@ let bfs_cmd =
             ("vertices", string_of_int vertices);
           ] )
       obs
-    @@ fun () ->
-    let config = config () in
+    @@ fun run ->
+    let config = config run in
     let params =
       {
         Graph500.Bfs.default_params with
@@ -471,7 +468,7 @@ let bfs_cmd =
           { Minivite.Graph.default_params with Minivite.Graph.n_vertices = vertices };
       }
     in
-    let tool = make_tool tool_choice ~nprocs ~config in
+    let tool = make_tool run tool_choice ~nprocs ~config in
     let observer = match tool_choice with Toolbox.Baseline -> None | _ -> Some tool.Tool.observer in
     let result, summary = Graph500.Bfs.run params ~nprocs ~seed ~config ?observer () in
     Printf.printf
@@ -505,8 +502,8 @@ let export_cmd =
     Arg.(value & opt float 0.1 & info [ "scale" ] ~docv:"S" ~doc:"MiniVite input scale factor.")
   in
   let run obs dir experiments scale =
-    with_diag obs @@ fun () ->
-    Rma_report.Experiments.export ~dir ~scale experiments;
+    with_diag obs @@ fun run ->
+    Rma_report.Experiments.export ~run ~dir ~scale experiments;
     Printf.printf "exported %s to %s/\n" (String.concat ", " experiments) dir;
     []
   in
@@ -531,7 +528,7 @@ let record_cmd =
       & info [] ~docv:"WORKLOAD" ~doc:"Microbenchmark code or kernel name (rrb_*/hyb_*).")
   in
   let run obs name out seed interleave_seed =
-    with_diag ~workload:("record", [ ("workload", name); ("out", out) ]) obs @@ fun () ->
+    with_diag ~workload:("record", [ ("workload", name); ("out", out) ]) obs @@ fun run ->
     let nprocs, program =
       match Rma_microbench.Scenario.find name with
       | Some s -> (3, Rma_microbench.Runner.program s)
@@ -546,16 +543,11 @@ let record_cmd =
     (* Mirror Runner.run/run_kernel: zero observer cost, so the trace is
        schedule-identical to what the in-process detectors saw. *)
     let config = { Mpi_sim.Config.default with Mpi_sim.Config.analysis_overhead_scale = 0.0 } in
-    let interleave_seed =
-      match interleave_seed with
-      | Some _ as s -> s
-      | None -> Mpi_sim.Runtime.default_interleave_seed ()
-    in
     let r = Recorder.create () in
     ignore
       (Mpi_sim.Runtime.run ~nprocs ~seed ?interleave_seed ~config ~observer:(Recorder.observer r)
          program);
-    Recorder.save r ~path:out;
+    Recorder.save ?fault:run.Run_config.fault r ~path:out;
     Printf.printf "recorded %d events (%d ranks) to %s\n" (Recorder.length r) nprocs out;
     []
   in
@@ -588,7 +580,7 @@ let analyze_cmd =
   in
   let run obs tool_choice file ranks =
     with_diag ~workload:("analyze", [ ("tool", Toolbox.slug tool_choice); ("trace", file) ]) obs
-    @@ fun () ->
+    @@ fun run ->
     match Recorder.load ~path:file with
     | Error msg ->
         Printf.eprintf "analyze: cannot read %s: %s\n" file msg;
@@ -597,10 +589,10 @@ let analyze_cmd =
         let nprocs =
           match ranks with Some n -> n | None -> Rma_trace.Post_mortem.nprocs_of events
         in
-        (* Default config, not [config ()]: replay charges no observer
+        (* Default config, not [config run]: replay charges no observer
            cost, and the serve daemon builds its per-session tools the
            same way — the byte-identical-verdict contract hangs on it. *)
-        let tool = Toolbox.make tool_choice ~nprocs () in
+        let tool = Run_config.tool run tool_choice ~nprocs () in
         let reports = renumber (Recorder.replay events ~tool) in
         Printf.printf "%s: %d events, %d ranks — %s\n" file (List.length events) nprocs
           (match List.length reports with
@@ -657,7 +649,8 @@ let serve_cmd =
              answered with a $(b,load_shed) line and closed.")
   in
   let run obs port socket max_sessions accept_queue =
-    with_diag ~workload:("serve", []) obs @@ fun () ->
+    (* Sessions take their settings from their handshakes only. *)
+    with_diag ~workload:("serve", []) obs @@ fun _run ->
     let module D = Rma_serve.Daemon in
     let addr =
       match (socket, port) with
@@ -712,7 +705,7 @@ let journal_arg =
     required
     & pos 0 (some string) None
     & info [] ~docv:"JOURNAL"
-        ~doc:"Event-journal JSON-lines file (written by $(b,--obs-events) / $(b,RMA_OBS_EVENTS)).")
+        ~doc:"Event-journal JSON-lines file (written by $(b,--obs-events)).")
 
 (* Reading is total: a truncated or bit-flipped journal yields its
    decodable prefix plus an error naming the first bad line. The prefix

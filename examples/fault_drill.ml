@@ -60,7 +60,7 @@ let () =
   in
   parse (List.tl (Array.to_list Sys.argv));
   let nprocs = !ranks in
-  Diag.with_diag ~prog:"fault_drill" ~generator:"fault_drill" !diag @@ fun () ->
+  Diag.with_diag ~prog:"fault_drill" ~generator:"fault_drill" !diag @@ fun run ->
   let params =
     {
       Cfd_proxy.Halo.default_params with
@@ -92,7 +92,7 @@ let () =
   List.iter
     (fun (label, budget) ->
       let tool =
-        Rma_analyzer.create ~nprocs ~config ~mode:Tool.Collect ?budget Rma_analyzer.Contribution
+        Run_config.tool { run with Run_config.budget } Toolbox.Contribution ~nprocs ~config ()
       in
       let _result, summary = Cfd_proxy.Halo.run params ~nprocs ~config ~observer:tool.Tool.observer () in
       let checksum = summary.Cfd_proxy.Halo.checksum in
@@ -126,6 +126,6 @@ let () =
      honesty signal: detection was best-effort, and any race reported from such a\n\
      store carries provenance.degraded = true (SARIF level \"warning\" with a\n\
      confidence: downgraded property). The same caps are available everywhere via\n\
-     --budget on the CLI and bench, or RMA_BUDGET in the environment.\n"
+     --budget on the CLI and bench.\n"
     (if !verdicts_stable then "identical" else "DIVERGED");
   []

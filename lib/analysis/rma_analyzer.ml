@@ -22,21 +22,6 @@ let sample_telemetry () =
 
 type policy = Legacy | Contribution | Fragmentation_only | Order_blind | Strided_extension
 
-(* Predictive mode default: the CLI's [--predictive] flag (via
-   [set_default_predictive]) wins over the [RMA_PREDICTIVE] environment
-   variable, mirroring how jobs resolves its own. *)
-let default_predictive_override = ref None
-
-let set_default_predictive b = default_predictive_override := Some b
-
-let env_predictive () =
-  match Sys.getenv_opt "RMA_PREDICTIVE" with
-  | Some ("1" | "true" | "yes" | "on") -> true
-  | _ -> false
-
-let default_predictive () =
-  match !default_predictive_override with Some b -> b | None -> env_predictive ()
-
 let policy_name = function
   | Legacy -> "RMA-Analyzer"
   | Contribution -> "Our Contribution"
@@ -163,8 +148,7 @@ type state = {
   mode : Tool.mode;
   flush_clears : bool;
   budget : Rma_fault.Budget.t option;
-      (* Explicit per-tool budget; [None] defers to the process default
-         at store creation (see Governor.create). *)
+      (* Per-tool budget; [None] = unbounded stores. *)
   policy : policy;
   name : string;
   max_reports : int;
@@ -688,12 +672,8 @@ let bst_summary st () =
     st.trees Tool.empty_bst_summary
 
 let make_state ~nprocs ?(config = Config.default) ?(mode = Tool.Abort_on_race)
-    ?(flush_clears = false) ?(max_reports = 1000) ?jobs ?queue_capacity ?budget ?predictive policy
-    =
-  let predictive_on =
-    match predictive with Some b -> b | None -> default_predictive ()
-  in
-  let jobs = match jobs with Some j -> j | None -> Rma_par.default_jobs () in
+    ?(flush_clears = false) ?(max_reports = 1000) ?(jobs = 1) ?queue_capacity ?budget
+    ?(predictive = false) ?fault policy =
   (* Abort_on_race must raise from inside the racing insert's event —
      mid-stream, before later events run — which an asynchronous engine
      cannot reproduce; it stays on the sequential path regardless of
@@ -704,7 +684,7 @@ let make_state ~nprocs ?(config = Config.default) ?(mode = Tool.Abort_on_race)
     else
       Some
         {
-          engine = Rma_par.create ~jobs ?queue_capacity ();
+          engine = Rma_par.create ~jobs ?queue_capacity ?fault ();
           next_tag = 0;
           shard_races = Array.init jobs (fun _ -> ref []);
         }
@@ -724,7 +704,7 @@ let make_state ~nprocs ?(config = Config.default) ?(mode = Tool.Abort_on_race)
     races = [];
     race_count = 0;
     predictive =
-      (if not predictive_on then None
+      (if not predictive then None
        else
          Some
            {
@@ -801,16 +781,16 @@ let tool_of_state st =
   }
 
 let create ~nprocs ?config ?mode ?flush_clears ?max_reports ?jobs ?queue_capacity ?budget
-    ?predictive policy =
+    ?predictive ?fault policy =
   tool_of_state
     (make_state ~nprocs ?config ?mode ?flush_clears ?max_reports ?jobs ?queue_capacity ?budget
-       ?predictive policy)
+       ?predictive ?fault policy)
 
 let create_inspectable ~nprocs ?config ?mode ?flush_clears ?max_reports ?jobs ?queue_capacity
-    ?budget ?predictive policy =
+    ?budget ?predictive ?fault policy =
   let st =
     make_state ~nprocs ?config ?mode ?flush_clears ?max_reports ?jobs ?queue_capacity ?budget
-      ?predictive policy
+      ?predictive ?fault policy
   in
   let dump () =
     ignore (sync st);

@@ -29,14 +29,6 @@ type policy =
 
 val policy_name : policy -> string
 
-val set_default_predictive : bool -> unit
-(** Process-wide default for [?predictive] (the CLI's [--predictive]
-    flag); wins over the [RMA_PREDICTIVE] environment variable. *)
-
-val default_predictive : unit -> bool
-(** The default [?predictive]: {!set_default_predictive} if called, else
-    [RMA_PREDICTIVE] ([1]/[true]/[yes]/[on]), else [false]. *)
-
 val create :
   nprocs:int ->
   ?config:Mpi_sim.Config.t ->
@@ -47,13 +39,14 @@ val create :
   ?queue_capacity:int ->
   ?budget:Rma_fault.Budget.t ->
   ?predictive:bool ->
+  ?fault:Rma_fault.t ->
   policy ->
   Tool.t
 (** Defaults: [config = Mpi_sim.Config.default], [mode = Abort_on_race],
-    [flush_clears = false], [max_reports = 1000], [jobs] from {!Rma_par.default_jobs} (the CLI's [--jobs] / the
-    [RMA_JOBS] environment variable), [budget] from
-    {!Rma_fault.Budget.default} (the CLI's [--budget] / the
-    [RMA_BUDGET] environment variable).
+    [flush_clears = false], [max_reports = 1000], [jobs = 1], no
+    budget (unbounded stores), [predictive = false], no [fault]
+    injector. Nothing is read from the process environment: a front
+    end that wants other values passes them (see {!Run_config}).
 
     A bounded [budget] applies to every (rank, window) store the
     analyzer creates; when governance drops or coarsens nodes, the sum
@@ -75,7 +68,9 @@ val create :
     reproduced asynchronously. When
     [config.analysis_self_timed] is set, the observer returns the
     engine's critical-path cost model (busiest shard per barrier
-    interval) as simulated protocol seconds.
+    interval) as simulated protocol seconds. [fault] is the run's
+    {!Rma_fault} injector, handed to the engine: its worker-crash and
+    queue-overflow sites fire at shard submits (only when [jobs > 1]).
 
     [max_reports] bounds the reports kept for {!Tool.t.races}; counting
     ({!Tool.t.race_count}) is never truncated, and
@@ -88,7 +83,7 @@ val create :
     false negatives for conflicts with other origins, which is why the
     real tool leaves flush uninstrumented.
 
-    [predictive:true] (default {!default_predictive}) runs the weak-order
+    [predictive:true] runs the weak-order
     analysis of DESIGN.md §15 alongside the observed one: a second set of
     (rank, window) trees cleared only at true synchronization edges
     (fence completion; barriers/allreduces with no unflushed one-sided
@@ -112,6 +107,7 @@ val create_inspectable :
   ?queue_capacity:int ->
   ?budget:Rma_fault.Budget.t ->
   ?predictive:bool ->
+  ?fault:Rma_fault.t ->
   policy ->
   Tool.t * (unit -> ((int * Mpi_sim.Event.win_id) * Rma_access.Access.t list) list)
 (** {!create} plus a dump of the analyzer's interval state: for each

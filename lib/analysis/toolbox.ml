@@ -23,8 +23,8 @@ let slug = function
 let of_slug s = List.find_opt (fun k -> String.equal (slug k) s) all
 
 let make kind ~nprocs ?(config = Mpi_sim.Config.default) ?(mode = Tool.Collect)
-    ?batch_inserts:_ ?jobs ?budget ?predictive () =
-  let analyzer = Rma_analyzer.create ~nprocs ~config ~mode ?jobs ?budget ?predictive in
+    ?batch_inserts:_ ?jobs ?budget ?predictive ?fault () =
+  let analyzer = Rma_analyzer.create ~nprocs ~config ~mode ?jobs ?budget ?predictive ?fault in
   match kind with
   | Baseline -> Tool.baseline
   | Legacy -> analyzer Rma_analyzer.Legacy

@@ -29,14 +29,16 @@ val make :
   ?jobs:int ->
   ?budget:Rma_fault.Budget.t ->
   ?predictive:bool ->
+  ?fault:Rma_fault.t ->
   unit ->
   Tool.t
 (** Defaults: [config = Mpi_sim.Config.default], [mode = Collect],
-    [jobs], [budget] and [predictive] from the process-wide defaults
-    (see {!Rma_analyzer.create}); [jobs] only affects the analyzer
-    family ([Baseline] and [Must] ignore it), [budget] every
-    store-backed tool, and [predictive] the analyzer family (the
-    weak-order schedulable-race analysis of DESIGN.md §15).
+    and {!Rma_analyzer.create}'s fixed defaults for the rest (jobs 1,
+    unbounded, observed-only, no faults). [jobs] and [fault] only
+    affect the analyzer family ([Baseline] and [Must] ignore them),
+    [budget] the analyzer's stores, and [predictive] the analyzer
+    family (the weak-order schedulable-race analysis of DESIGN.md
+    §15). {!Run_config.tool} builds a tool from one run's settings.
 
     [?batch_inserts] is accepted and ignored: it used to open the
     disjoint store's deeper coalescing buffer, which no longer exists.

@@ -17,16 +17,20 @@
       {!Rma_store.Governor}), so memory pressure produces either a clean
       failure or a {e reported} degradation — never a silent one.
 
-    Both are process-global opt-ins in the style of
-    {!Rma_obs.Obs.enable}: nothing fires until {!install} is called (or
-    the [RMA_FAULT] environment variable supplies a plan at startup),
-    and uninstrumented runs pay one option match per site visit.
+    A fault schedule is a value: {!create} turns a plan into an
+    injector that owns the per-site ordinals and hit counts. A run
+    makes exactly one injector and hands it to every component that
+    injects — the {!Rma_par} engines of its tools and the
+    {!Rma_trace.Codec.write_all} calls of its recorder — so the
+    ordinals count across the whole run, and two runs (two [serve]
+    sessions, say) never share a schedule. Code handed no injector
+    injects nothing and pays one option match per site visit.
 
-    {b Thread safety}: {!install}, {!clear} and {!fire} must be called
-    from the main (caller) thread only. Worker domains never draw from
-    the plan — the parallel engine decides worker-crash and
-    queue-overflow faults on the submitting thread, which is what makes
-    the schedule deterministic under any interleaving. *)
+    {b Thread safety}: {!fire} must be called from the thread that owns
+    the injector only. Worker domains never draw from it — the parallel
+    engine decides worker-crash and queue-overflow faults on the
+    submitting thread, which is what makes the schedule deterministic
+    under any interleaving. *)
 
 (** {1 Injection sites} *)
 
@@ -71,7 +75,7 @@ module Plan : sig
 
   val default : t
   (** Seed 1, every rate [0.0], [max_retries = 3], [backoff = 0.0] — an
-      installed default plan injects nothing. *)
+      injector of the default plan injects nothing. *)
 
   val rate : t -> site -> float
 
@@ -89,62 +93,36 @@ module Plan : sig
   val pp : Format.formatter -> t -> unit
 end
 
-(** {1 Installing and firing} *)
+(** {1 Injectors} *)
 
-val install : Plan.t -> unit
-(** Make [plan] the process-global active plan and zero every per-site
-    ordinal counter, so the fault schedule restarts from the beginning.
-    Replaces any previously installed plan. *)
+type t
+(** One run's fault schedule: a plan plus per-site ordinals and hit
+    counts. Mutable; owned by the thread that fires it. *)
 
-val clear : unit -> unit
-(** Remove the active plan; {!fire} returns [false] everywhere. *)
+val create : Plan.t -> t
+(** A fresh injector whose schedule starts at ordinal 0 on every site. *)
 
-val active : unit -> bool
+val plan_of : t -> Plan.t
 
-val plan : unit -> Plan.t option
+val fire : t -> site -> bool
+(** [fire t site] asks whether the fault fires at this visit of [site].
 
-val fire : site -> bool
-(** [fire site] asks whether the fault fires at this visit of [site].
-
-    Deterministic: the k-th call for a given site under a given plan
-    always returns the same answer (each call consumes one per-site
-    ordinal and seeds a fresh {!Rma_util.Prng} from
+    Deterministic: the k-th call for a given site on injectors of the
+    same plan always returns the same answer (each call consumes one
+    per-site ordinal and seeds a fresh {!Rma_util.Prng} from
     [(plan.seed, site, ordinal)]), independent of calls to other sites
-    and of wall-clock interleaving. Always [false] when no plan is
-    installed or the site's rate is [0]. Fired faults are counted on the
-    [fault.injected.<site>] Obs counters. Main thread only. *)
+    and of wall-clock interleaving. Always [false] when the site's rate
+    is [0]. Fired faults are counted on the [fault.injected.<site>] Obs
+    counters. *)
 
-val fired : site -> int
-(** How many times {!fire} has returned [true] for [site] since the
-    current plan was installed (0 when no plan is active). *)
+val fired : t -> site -> int
+(** How many times {!fire} has returned [true] for [site]. *)
 
-val ordinal : site -> int
-(** How many times {!fire} has been {e asked} for [site] under the
-    current plan — i.e. the ordinal of the next ask. The visit that just
-    fired has ordinal [ordinal site - 1]; the event journal records it
-    so a fault occurrence can be replayed from [(seed, site, ordinal)]
-    alone. 0 when no plan is active. *)
-
-(** {1 Saving and restoring the installed state}
-
-    A long-running process multiplexing several analyses (the [serve]
-    daemon) gives each session its own plan while sharing the one
-    process-global slot. {!snapshot} captures the full installed state —
-    plan {e and} per-site ordinals/hit counts — and {!restore} puts it
-    back, so interleaving session A's visits between two slices of
-    session B leaves B's fault schedule exactly where it stopped. Both
-    copy the mutable counters, so a snapshot is immutable: restoring it
-    twice replays the same schedule twice. Main thread only. *)
-
-type snapshot
-
-val snapshot : unit -> snapshot
-(** Capture the active plan and its counters ({!install}ed or not). *)
-
-val restore : snapshot -> unit
-(** Reinstate a captured state, replacing whatever is installed. Unlike
-    {!install} this does {e not} zero the ordinals — the schedule
-    resumes from where the snapshot was taken. *)
+val ordinal : t -> site -> int
+(** How many times {!fire} has been {e asked} for [site] — i.e. the
+    ordinal of the next ask. The visit that just fired has ordinal
+    [ordinal t site - 1]; the event journal records it so a fault
+    occurrence can be replayed from [(seed, site, ordinal)] alone. *)
 
 (** {1 Resource budgets} *)
 
@@ -196,13 +174,6 @@ module Budget : sig
       must be positive. *)
 
   val to_spec : t -> string
-
-  val set_default : t option -> unit
-  (** Process-wide default budget picked up by stores created without an
-      explicit [?budget] (the CLI's [--budget]); initialised from the
-      [RMA_BUDGET] environment variable when present. *)
-
-  val default : unit -> t option
 
   val pp : Format.formatter -> t -> unit
 end

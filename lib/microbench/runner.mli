@@ -66,4 +66,6 @@ val run_kernel :
   Scenario.Kernel.t ->
   kernel_verdict
 (** Runs an RMARaceBench-shaped kernel on its [k_nprocs] ranks under the
-    tool (reset first) and reports whether it flagged a race. *)
+    tool (reset first) and reports whether it flagged a race. An
+    omitted [interleave_seed] means no interleaving: scheduling draws
+    from [seed] (see {!Mpi_sim.Runtime.run}). *)

@@ -81,11 +81,6 @@ type result = {
   threads_spawned : int;
 }
 
-let default_interleave_seed () =
-  match Sys.getenv_opt "RMA_INTERLEAVE_SEED" with
-  | None -> None
-  | Some v -> int_of_string_opt (String.trim v)
-
 (* ------------------------------------------------------------------ *)
 (* Scheduler state                                                      *)
 (* ------------------------------------------------------------------ *)

@@ -109,12 +109,6 @@ type result = {
           counted); 0 for every pre-hybrid program. *)
 }
 
-val default_interleave_seed : unit -> int option
-(** The [RMA_INTERLEAVE_SEED] environment variable, parsed. [Runtime.run]
-    itself never reads it — harnesses (e.g. the microbench runner) use it
-    to default their [?interleave_seed] so CI can sweep schedules without
-    perturbing traces produced by direct [run] callers. *)
-
 val run :
   nprocs:int ->
   ?seed:int ->

@@ -13,7 +13,7 @@
 
     Like the rest of {!Obs}, emission is a no-op until {!Obs.enable}
     runs; below that gate a per-event level filter applies. With a file
-    sink set ([--obs-events FILE] / [RMA_OBS_EVENTS]) lines are
+    sink set ([--obs-events FILE]) lines are
     appended and flushed as they happen; without one they land in a
     bounded in-memory ring readable via {!recent} (and served by the
     telemetry endpoint's [/events]). Emission is safe from any domain. *)
@@ -92,7 +92,3 @@ val emitted_total : unit -> int
 val to_json : t -> Rma_util.Json.t
 val line : t -> string
 (** The minified JSON-lines form (no trailing newline). *)
-
-val configure_from_env : unit -> unit
-(** Apply [RMA_OBS_EVENTS] (enables {!Obs} and sets the sink) and
-    [RMA_OBS_LEVEL]. *)

@@ -84,24 +84,15 @@ let g_slo_p99 =
     "slo.epoch_close_p99_ms"
 
 let c_slo_burn =
-  Obs.counter ~help:"Epoch closes slower than the RMA_SLO_EPOCH_CLOSE_MS threshold"
+  Obs.counter ~help:"Epoch closes slower than the 100 ms SLO threshold"
     "slo.epoch_close_burn_total"
 
-let default_slo_ms = 100.0
-
-let slo_threshold_ms =
-  ref
-    (match Option.bind (Sys.getenv_opt "RMA_SLO_EPOCH_CLOSE_MS") float_of_string_opt with
-    | Some ms when ms > 0.0 -> ms
-    | _ -> default_slo_ms)
-
-let set_slo_epoch_close_ms ms = if ms > 0.0 then slo_threshold_ms := ms
-let slo_epoch_close_ms () = !slo_threshold_ms
+let slo_epoch_close_ms = 100.0
 
 let note_epoch_close seconds =
   if Obs.is_enabled () then begin
     Obs.observe h_epoch_close_ns (seconds *. 1e9);
-    if seconds *. 1000.0 > !slo_threshold_ms then Obs.incr c_slo_burn
+    if seconds *. 1000.0 > slo_epoch_close_ms then Obs.incr c_slo_burn
   end
 
 (* Last-sample state for the rate gauge; sampled from the main domain

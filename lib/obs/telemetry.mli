@@ -43,12 +43,8 @@ val note_epoch_close : float -> unit
     when the duration exceeds the threshold. No-op when {!Obs} is
     disabled. *)
 
-val slo_epoch_close_ms : unit -> float
-(** The burn threshold in milliseconds (default 100, or
-    [RMA_SLO_EPOCH_CLOSE_MS] from the environment at startup). *)
-
-val set_slo_epoch_close_ms : float -> unit
-(** Override the threshold; non-positive values are ignored. *)
+val slo_epoch_close_ms : float
+(** The burn threshold in milliseconds: 100. *)
 
 val reset_rate : unit -> unit
 (** Forget the rate window (next {!sample} only primes it). *)

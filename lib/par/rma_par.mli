@@ -24,8 +24,8 @@
     recorded on the calling thread — the Obs registry is not
     thread-safe, so tasks must never log to it.
 
-    {b Fault tolerance} (DESIGN.md §11): when an {!Rma_fault} plan is
-    installed, every {!submit} passes the [Worker_crash] and
+    {b Fault tolerance} (DESIGN.md §11): when the engine is created with
+    an {!Rma_fault} injector, every {!submit} passes the [Worker_crash] and
     [Queue_overflow] injection points {e on the calling thread} — which
     is what keeps the fault schedule deterministic under any worker
     interleaving. A crashed shard journals its unexecuted tasks in
@@ -60,16 +60,6 @@ val max_jobs : int
     append-only, so it is bounded far below the OCaml runtime's domain
     limit). Requests beyond it are clamped. *)
 
-val default_jobs : unit -> int
-(** Process-wide default shard count used by {!Rma_analyzer.create}
-    when [?jobs] is omitted. Initialised from the [RMA_JOBS]
-    environment variable (clamped to [1 .. max_jobs]; unset, empty or
-    unparsable means 1 = sequential). *)
-
-val set_default_jobs : int -> unit
-(** Override the process-wide default (the CLI's [--jobs]). Clamped to
-    [1 .. max_jobs]. *)
-
 val pool_size : unit -> int
 (** Worker domains spawned into the process-global pool so far. The
     pool is append-only and bounded by {!max_jobs}, so a long-running
@@ -77,12 +67,14 @@ val pool_size : unit -> int
     value may grow up to the largest [jobs] ever requested and must
     then stay constant. *)
 
-val create : ?jobs:int -> ?queue_capacity:int -> unit -> t
-(** An engine with [jobs] shards (default {!default_jobs}, clamped to
+val create : ?jobs:int -> ?queue_capacity:int -> ?fault:Rma_fault.t -> unit -> t
+(** An engine with [jobs] shards (default 1, clamped to
     [1 .. max_jobs]) and at most [queue_capacity] (default 1024,
     minimum 1) in-flight tasks per shard. Worker domains are lazily
     spawned into the global pool and reused by every engine — creating
-    engines is cheap and never leaks domains. *)
+    engines is cheap and never leaks domains. [fault] is the run's
+    injector: its [Worker_crash] and [Queue_overflow] sites are drawn
+    at every {!submit} (default: none, no site is visited). *)
 
 val jobs : t -> int
 
@@ -97,8 +89,8 @@ val submit : t -> shard:int -> (unit -> unit) -> unit
     thread while handing over a batch would exceed [queue_capacity]
     tasks in flight (back-pressure); never blocks a worker, so barriers
     cannot deadlock. A task that raises stashes its exception for the next
-    {!barrier} instead of killing the worker. Under an installed
-    {!Rma_fault} plan this is also the crash/overflow injection point
+    {!barrier} instead of killing the worker. On an engine with an
+    injector this is also the crash/overflow injection point
     (see the module preamble); tasks journaled by a crashed shard run
     at the next {!barrier}. *)
 

@@ -1,5 +1,6 @@
 module Obs = Rma_obs.Obs
 module Events = Rma_obs.Events
+module Run_config = Rma_analysis.Run_config
 
 type opts = {
   obs_out : string option;
@@ -46,19 +47,28 @@ let usage_error ~prog what spec msg =
   Printf.eprintf "%s: bad %s %S: %s\n%!" prog what spec msg;
   exit 124
 
-(* [f] returns the run's race reports; exports happen afterwards, the
-   obs ones even if [f] raises. Everything that stores or engines
-   snapshot at tool creation (flight recorder, shard count, fault plan,
-   budget) must be applied before [f] runs, which is why all the knobs
-   live here and not in the exporters. *)
+(* The run's analysis settings, parsed once: one injector for the whole
+   run, shared by every tool the thunk builds. *)
+let run_config ~prog opts =
+  let parse what of_spec =
+    Option.map (fun spec ->
+        match of_spec spec with Ok v -> v | Error msg -> usage_error ~prog what spec msg)
+  in
+  let fault = parse "--fault-plan" Rma_fault.Plan.of_spec opts.fault_plan in
+  let budget = parse "--budget" Rma_fault.Budget.of_spec opts.budget in
+  Run_config.make ?jobs:opts.jobs ~predictive:opts.predictive ?budget ?fault ()
+
+(* [f] builds its tools from the run config and returns the run's race
+   reports; exports happen afterwards, the obs ones even if [f] raises.
+   The flight recorder is snapshot by stores at tool creation, so it is
+   switched on before [f] runs. *)
 let with_diag ?(prog = "rma_race") ?(generator = "rma_race") ?workload opts f =
+  let run = run_config ~prog opts in
   let active = wants_obs opts in
   if active then begin
     Obs.enable ();
     Obs.set_sampling ~keep_one_in:(max 1 opts.obs_sample)
   end;
-  (* Environment first, explicit flags override. *)
-  Events.configure_from_env ();
   Option.iter
     (fun s ->
       match Events.level_of_string s with
@@ -67,42 +77,16 @@ let with_diag ?(prog = "rma_race") ?(generator = "rma_race") ?workload opts f =
     opts.obs_level;
   Option.iter Events.set_sink opts.obs_events;
   if wants_races opts then Rma_store.Flight_recorder.enable ();
-  (* Only an explicit --predictive forces the default on; left false,
-     the RMA_PREDICTIVE environment variable still decides. *)
-  if opts.predictive then Rma_analysis.Rma_analyzer.set_default_predictive true;
-  Option.iter Rma_par.set_default_jobs opts.jobs;
-  Option.iter
-    (fun spec ->
-      match Rma_fault.Plan.of_spec spec with
-      | Ok plan -> Rma_fault.install plan
-      | Error msg -> usage_error ~prog "--fault-plan" spec msg)
-    opts.fault_plan;
-  Option.iter
-    (fun spec ->
-      match Rma_fault.Budget.of_spec spec with
-      | Ok budget -> Rma_fault.Budget.set_default (Some budget)
-      | Error msg -> usage_error ~prog "--budget" spec msg)
-    opts.budget;
-  (* Every knob is applied: journal the run's identity. The record is
-     what [rma_race obs replay] reconstructs the run from — workload
-     name and parameters, effective shard count, and the fault plan and
-     budget re-serialised in canonical spec form (so the journal, not
-     the command line, is the source of truth for the seed). *)
+  (* The record [rma_race obs replay] reconstructs the run from:
+     workload name and parameters, then the run config — shard count,
+     fault plan and budget re-serialised in canonical spec form (so the
+     journal, not the command line, is the source of truth for the
+     seed). *)
   (match workload with
   | Some (name, params) ->
-      let kv =
-        [ ("event", "run_start"); ("workload", name) ]
-        @ params
-        @ [ ("jobs", string_of_int (Rma_par.default_jobs ())) ]
-        @ (match Rma_fault.plan () with
-          | Some p -> [ ("fault", Rma_fault.Plan.to_spec p) ]
-          | None -> [])
-        @
-        match Rma_fault.Budget.default () with
-        | Some b -> [ ("budget", Rma_fault.Budget.to_spec b) ]
-        | None -> []
-      in
-      Events.emit ~kv Events.Info "diag"
+      Events.emit
+        ~kv:([ ("event", "run_start"); ("workload", name) ] @ params @ Run_config.journal_kv run)
+        Events.Info "diag"
   | None -> ());
   let server =
     Option.map
@@ -148,7 +132,7 @@ let with_diag ?(prog = "rma_race") ?(generator = "rma_race") ?workload opts f =
   let run_id = if active then Some (Events.run_id ()) else None in
   let finished = ref None in
   Fun.protect ~finally:obs_export (fun () ->
-      let reports = renumber (f ()) in
+      let reports = renumber (f run) in
       (* The journal's verdict record: what [obs replay] compares a
          re-run against. A thunk that raises leaves no run_summary —
          exactly right, the original run has no verdict either. *)

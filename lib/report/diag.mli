@@ -4,12 +4,14 @@
     race-export, parallelism and fault/budget knobs, and one bracket
     ({!with_diag}) that applies them in the right order around a run.
 
-    The ordering matters: stores and engines snapshot the flight
-    recorder, shard count, fault plan and budget when the tool is
-    created, so every knob is applied {e before} the run thunk, and the
-    exporters (Chrome trace, Prometheus dump, event journal, summary,
-    race JSON/SARIF) run after it — the obs ones even when the thunk
-    raises. *)
+    The analysis knobs (shard count, predictive mode, fault plan,
+    budget) are parsed once into a {!Rma_analysis.Run_config.t} — with
+    the run's one fault injector — and handed to the run thunk, which
+    builds its tools from it. The observability knobs are applied
+    {e before} the thunk (stores snapshot the flight recorder at
+    creation), and the exporters (Chrome trace, Prometheus dump, event
+    journal, summary, race JSON/SARIF) run after it — the obs ones even
+    when the thunk raises. *)
 
 type opts = {
   obs_out : string option;  (** Chrome trace_event JSON path. *)
@@ -29,9 +31,8 @@ type opts = {
   fault_plan : string option;  (** {!Rma_fault.Plan.of_spec} syntax. *)
   budget : string option;  (** {!Rma_fault.Budget.of_spec} syntax. *)
   predictive : bool;
-      (** Make predictive (weak-order schedulable-race) analysis the
-          process default — the [--predictive] flag. [false] leaves the
-          [RMA_PREDICTIVE] environment variable in charge. *)
+      (** Predictive (weak-order schedulable-race) analysis — the
+          [--predictive] flag. *)
 }
 
 val default : opts
@@ -49,19 +50,20 @@ val with_diag :
   ?generator:string ->
   ?workload:string * (string * string) list ->
   opts ->
-  (unit -> Rma_analysis.Report.t list) ->
+  (Rma_analysis.Run_config.t -> Rma_analysis.Report.t list) ->
   unit
 (** Run the thunk under the configured diagnostics and export
-    afterwards. [prog] names the binary in usage-error messages (exit
-    124 on a bad spec); [generator] is stamped into race exports.
-    [RMA_OBS_EVENTS] / [RMA_OBS_LEVEL] are applied first, explicit
-    options override them. Report ids are renumbered 1..n before
+    afterwards. The thunk receives the run config parsed from [opts]
+    and builds every tool of the run from it. [prog] names the binary
+    in usage-error messages (exit 124 on a bad spec, before anything
+    runs); [generator] is stamped into race exports. Report ids are
+    renumbered 1..n before
     export; when observability is on, the journal's run id is threaded
     into the race JSON/SARIF headers.
 
     [workload] names the run for the journal: a [run_start] record
-    (component ["diag"]) carries the workload name, its parameters, the
-    effective shard count and the canonical fault-plan/budget specs, and
+    (component ["diag"]) carries the workload name, its parameters and
+    {!Rma_analysis.Run_config.journal_kv} of the run config, and
     a [run_summary] record carries the race count and
     {!Race_export.verdict_digest} — together the coordinates
     [rma_race obs replay] needs to re-run the drill deterministically

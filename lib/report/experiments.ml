@@ -21,10 +21,10 @@ let table2_codes =
     "ll_load_get_inwindow_origin_safe";
   ]
 
-let table2 () =
-  let legacy = Rma_analyzer.create ~nprocs:3 ~mode:Tool.Collect Rma_analyzer.Legacy in
+let table2 ?(run = Run_config.default) () =
+  let legacy = Run_config.tool run Toolbox.Legacy ~nprocs:3 () in
   let must = Must_rma.create ~nprocs:3 () in
-  let contribution = Rma_analyzer.create ~nprocs:3 ~mode:Tool.Collect Rma_analyzer.Contribution in
+  let contribution = Run_config.tool run Toolbox.Contribution ~nprocs:3 () in
   let rows =
     List.map
       (fun code ->
@@ -59,7 +59,7 @@ let table2 () =
 
 type confusion_row = { tool : string; fp : int; fn : int; tp : int; tn : int; dropped : int }
 
-let table3 () =
+let table3 ?(run = Run_config.default) () =
   let score name tool =
     let c = Runner.score ~tool Scenario.all in
     { tool = name; fp = c.Runner.fp; fn = c.Runner.fn; tp = c.Runner.tp; tn = c.Runner.tn;
@@ -67,10 +67,9 @@ let table3 () =
   in
   let rows =
     [
-      score "RMA-Analyzer" (Rma_analyzer.create ~nprocs:3 ~mode:Tool.Collect Rma_analyzer.Legacy);
+      score "RMA-Analyzer" (Run_config.tool run Toolbox.Legacy ~nprocs:3 ());
       score "MUST-RMA" (Must_rma.create ~nprocs:3 ());
-      score "Our Contribution"
-        (Rma_analyzer.create ~nprocs:3 ~mode:Tool.Collect Rma_analyzer.Contribution);
+      score "Our Contribution" (Run_config.tool run Toolbox.Contribution ~nprocs:3 ());
     ]
   in
   let t =
@@ -131,7 +130,7 @@ type table4_row = {
 
 let default_rank_sweep = [ 32; 64; 128; 256 ]
 
-let table4 ?(scale = 0.1) ?(ranks = default_rank_sweep) () =
+let table4 ?(run = Run_config.default) ?(scale = 0.1) ?(ranks = default_rank_sweep) () =
   let rows =
     List.concat_map
       (fun vertices_base ->
@@ -139,9 +138,9 @@ let table4 ?(scale = 0.1) ?(ranks = default_rank_sweep) () =
           (fun nprocs ->
             let params = minivite_params ~scale ~vertices_base in
             let workload ~config ~observer = minivite_workload params ~nprocs ~config ~observer in
-            let legacy = Harness.measure ~nprocs ~config:perf_config ~workload Harness.Legacy in
+            let legacy = Harness.measure ~nprocs ~config:perf_config ~run ~workload Harness.Legacy in
             let contribution =
-              Harness.measure ~nprocs ~config:perf_config ~workload Harness.Contribution
+              Harness.measure ~nprocs ~config:perf_config ~run ~workload Harness.Contribution
             in
             let nl = legacy.Harness.nodes_final and nc = contribution.Harness.nodes_final in
             {
@@ -298,7 +297,7 @@ let fig8 () =
 (* Figure 9                                                             *)
 (* ------------------------------------------------------------------ *)
 
-let fig9 () =
+let fig9 ?(run = Run_config.default) () =
   let nprocs = 4 in
   let params =
     {
@@ -306,7 +305,7 @@ let fig9 () =
       Minivite.Louvain.inject_race = true;
     }
   in
-  let tool = Rma_analyzer.create ~nprocs ~mode:Tool.Collect Rma_analyzer.Contribution in
+  let tool = Run_config.tool run Toolbox.Contribution ~nprocs () in
   let _ = Minivite.Louvain.run params ~nprocs ~observer:tool.Tool.observer () in
   let buf = Buffer.create 512 in
   Buffer.add_string buf
@@ -363,7 +362,7 @@ let cell_reports r =
   in
   if r.degraded > 0 then Printf.sprintf "%s [degraded:%d]" base r.degraded else base
 
-let fig10 ?(nprocs = 12) ?(repeats = 2) () =
+let fig10 ?(run = Run_config.default) ?(nprocs = 12) ?(repeats = 2) () =
   let params = Cfd_proxy.Halo.default_params in
   let workload ~config ~observer =
     let result, _ = Cfd_proxy.Halo.run params ~nprocs ~config ?observer () in
@@ -376,7 +375,7 @@ let fig10 ?(nprocs = 12) ?(repeats = 2) () =
       (fun kind ->
         let runs =
           List.init (max 1 repeats) (fun _ ->
-              perf_row_of_metrics (Harness.measure ~nprocs ~config:perf_config ~workload kind))
+              perf_row_of_metrics (Harness.measure ~nprocs ~config:perf_config ~run ~workload kind))
         in
         List.fold_left
           (fun best r -> if r.epoch_time < best.epoch_time then r else best)
@@ -408,7 +407,8 @@ let fig10 ?(nprocs = 12) ?(repeats = 2) () =
   in
   (rows, Table.render t ^ "\n" ^ chart)
 
-let minivite_figure ~figure ~vertices_base ?(scale = 0.1) ?(ranks = default_rank_sweep) () =
+let minivite_figure ~figure ~vertices_base ?(run = Run_config.default) ?(scale = 0.1)
+    ?(ranks = default_rank_sweep) () =
   let rows =
     List.concat_map
       (fun nprocs ->
@@ -416,7 +416,7 @@ let minivite_figure ~figure ~vertices_base ?(scale = 0.1) ?(ranks = default_rank
         let workload ~config ~observer = minivite_workload params ~nprocs ~config ~observer in
         List.map
           (fun kind ->
-            perf_row_of_metrics (Harness.measure ~nprocs ~config:perf_config ~workload kind))
+            perf_row_of_metrics (Harness.measure ~nprocs ~config:perf_config ~run ~workload kind))
           Harness.all_paper_tools)
       ranks
   in
@@ -459,9 +459,11 @@ let minivite_figure ~figure ~vertices_base ?(scale = 0.1) ?(ranks = default_rank
   in
   (rows, Table.render t ^ "\n" ^ chart)
 
-let fig11 ?scale ?ranks () = minivite_figure ~figure:11 ~vertices_base:640_000 ?scale ?ranks ()
+let fig11 ?run ?scale ?ranks () =
+  minivite_figure ~figure:11 ~vertices_base:640_000 ?run ?scale ?ranks ()
 
-let fig12 ?scale ?ranks () = minivite_figure ~figure:12 ~vertices_base:1_280_000 ?scale ?ranks ()
+let fig12 ?run ?scale ?ranks () =
+  minivite_figure ~figure:12 ~vertices_base:1_280_000 ?run ?scale ?ranks ()
 
 (* ------------------------------------------------------------------ *)
 (* Parallel sharded engine                                              *)
@@ -478,7 +480,7 @@ type par_row = {
   p_critical_path : float;
 }
 
-let par ?(scale = 0.02) ?(nprocs = 8) ?(jobs = [ 1; 2; 4 ]) () =
+let par ?(run = Run_config.default) ?(scale = 0.02) ?(nprocs = 8) ?(jobs = [ 1; 2; 4 ]) () =
   let params = minivite_params ~scale ~vertices_base:640_000 in
   let workload ~config ~observer = minivite_workload params ~nprocs ~config ~observer in
   (* A heavier analysis tax than [perf_config]'s: at scale 2.0 the fixed
@@ -492,7 +494,10 @@ let par ?(scale = 0.02) ?(nprocs = 8) ?(jobs = [ 1; 2; 4 ]) () =
   in
   let measures =
     List.map
-      (fun j -> (j, Harness.measure ~nprocs ~config:par_config ~jobs:j ~workload Harness.Contribution))
+      (fun j ->
+        ( j,
+          Harness.measure ~nprocs ~config:par_config ~run:{ run with Run_config.jobs = j } ~workload
+            Harness.Contribution ))
       jobs
   in
   (* The engine's whole claim is byte-identical analysis: any divergence
@@ -566,7 +571,7 @@ let par ?(scale = 0.02) ?(nprocs = 8) ?(jobs = [ 1; 2; 4 ]) () =
 
 type ablation_row = { variant : string; nodes : int; races : int; wall : float }
 
-let ablation () =
+let ablation ?(run = Run_config.default) () =
   (* (1) Code 2 loop under the three store variants: merging is what
      keeps the tree small; (2) the order-blind rule re-creates the
      legacy false positives on the suite. *)
@@ -610,8 +615,8 @@ let ablation () =
              Strided_store.size s);
        ])
   in
-  let suite_variant name policy =
-    let tool = Rma_analyzer.create ~nprocs:3 ~mode:Tool.Collect policy in
+  let suite_variant name kind =
+    let tool = Run_config.tool run kind ~nprocs:3 () in
     let t0 = Rma_util.Timer.now () in
     let c = Runner.score ~tool Scenario.all in
     let wall = Rma_util.Timer.now () -. t0 in
@@ -620,9 +625,9 @@ let ablation () =
   let rows =
     rows
     @ [
-        suite_variant "Suite FPs / order-blind rule" Rma_analyzer.Order_blind;
-        suite_variant "Suite FPs / order-aware rule" Rma_analyzer.Contribution;
-        suite_variant "Suite FPs / strided extension" Rma_analyzer.Strided_extension;
+        suite_variant "Suite FPs / order-blind rule" Toolbox.Order_blind;
+        suite_variant "Suite FPs / order-aware rule" Toolbox.Contribution;
+        suite_variant "Suite FPs / strided extension" Toolbox.Strided;
       ]
   in
   let t =
@@ -643,7 +648,7 @@ let ablation () =
 (* CSV export                                                           *)
 (* ------------------------------------------------------------------ *)
 
-let export ~dir ?scale ?ranks experiments =
+let export ?run ~dir ?scale ?ranks experiments =
   if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
   let path name = Filename.concat dir (name ^ ".csv") in
   let b = string_of_bool in
@@ -651,12 +656,12 @@ let export ~dir ?scale ?ranks experiments =
     (fun experiment ->
       match experiment with
       | "table2" ->
-          let rows, _ = table2 () in
+          let rows, _ = table2 ?run () in
           Csv.write ~path:(path "table2")
             ~header:[ "code"; "rma_analyzer"; "must_rma"; "contribution" ]
             (List.map (fun r -> [ r.code; b r.legacy; b r.must; b r.contribution ]) rows)
       | "table3" ->
-          let rows, _ = table3 () in
+          let rows, _ = table3 ?run () in
           Csv.write ~path:(path "table3")
             ~header:[ "tool"; "fp"; "fn"; "tp"; "tn"; "dropped_reports" ]
             (List.map
@@ -665,7 +670,7 @@ let export ~dir ?scale ?ranks experiments =
                    string_of_int r.tn; string_of_int r.dropped ])
                rows)
       | "table4" ->
-          let rows, _ = table4 ?scale ?ranks () in
+          let rows, _ = table4 ?run ?scale ?ranks () in
           Csv.write ~path:(path "table4")
             ~header:
               [ "ranks"; "vertices"; "legacy_nodes"; "contribution_nodes"; "legacy_peak";
@@ -679,9 +684,9 @@ let export ~dir ?scale ?ranks experiments =
       | "fig10" | "fig11" | "fig12" ->
           let rows, _ =
             match experiment with
-            | "fig10" -> fig10 ()
-            | "fig11" -> fig11 ?scale ?ranks ()
-            | _ -> fig12 ?scale ?ranks ()
+            | "fig10" -> fig10 ?run ()
+            | "fig11" -> fig11 ?run ?scale ?ranks ()
+            | _ -> fig12 ?run ?scale ?ranks ()
           in
           Csv.write ~path:(path experiment)
             ~header:
@@ -694,7 +699,7 @@ let export ~dir ?scale ?ranks experiments =
                    string_of_int r.nodes_peak; string_of_int r.races; string_of_int r.dropped ])
                rows)
       | "par" ->
-          let rows, _ = par ?scale () in
+          let rows, _ = par ?run ?scale () in
           Csv.write ~path:(path "par")
             ~header:
               [ "jobs"; "epoch_time_s"; "exec_time_s"; "speedup"; "reports"; "nodes"; "wall_s";
@@ -707,7 +712,7 @@ let export ~dir ?scale ?ranks experiments =
                    Printf.sprintf "%.6f" r.p_wall; Printf.sprintf "%.6f" r.p_critical_path ])
                rows)
       | "ablation" ->
-          let rows, _ = ablation () in
+          let rows, _ = ablation ?run () in
           Csv.write ~path:(path "ablation")
             ~header:[ "variant"; "nodes"; "false_positives"; "wall_s" ]
             (List.map

@@ -4,11 +4,16 @@
     header) and returns the underlying numbers so tests can pin the
     qualitative claims. Sizes default to one tenth of the paper's
     workloads so the full set regenerates in minutes; pass
-    [~scale:1.0] for paper-size runs. *)
+    [~scale:1.0] for paper-size runs.
+
+    Every experiment that builds an analyzer takes [?run] (default
+    {!Rma_analysis.Run_config.default}) and builds every analyzer tool
+    under it; {!par}, whose axis is the shard count, overrides only
+    [run.jobs]. *)
 
 type verdict_row = { code : string; legacy : bool; must : bool; contribution : bool }
 
-val table2 : unit -> verdict_row list * string
+val table2 : ?run:Rma_analysis.Run_config.t -> unit -> verdict_row list * string
 (** Verdicts of the three tools on the four §5.2 example codes. *)
 
 type confusion_row = {
@@ -20,7 +25,7 @@ type confusion_row = {
   dropped : int;  (** Reports past the tool's [max_reports] cap. *)
 }
 
-val table3 : unit -> confusion_row list * string
+val table3 : ?run:Rma_analysis.Run_config.t -> unit -> confusion_row list * string
 (** Confusion matrices over the full 154-code suite. *)
 
 type table4_row = {
@@ -33,7 +38,8 @@ type table4_row = {
   reduction : float;  (** Fraction in [0,1]. *)
 }
 
-val table4 : ?scale:float -> ?ranks:int list -> unit -> table4_row list * string
+val table4 :
+  ?run:Rma_analysis.Run_config.t -> ?scale:float -> ?ranks:int list -> unit -> table4_row list * string
 (** MiniVite BST node counts, 32–256 ranks, two input sizes
     (scale × 640 000 and scale × 1 280 000 vertices). *)
 
@@ -51,7 +57,7 @@ val fig8 : unit -> fig8_result * string
 (** Code 2: the 1000-iteration Get loop — node explosion versus merged
     tree, plus the verdict on the trailing duplicated Get. *)
 
-val fig9 : unit -> string
+val fig9 : ?run:Rma_analysis.Run_config.t -> unit -> string
 (** The MiniVite fault injection and the report our tool prints. *)
 
 type perf_row = {
@@ -69,14 +75,17 @@ type perf_row = {
           marks a best-effort verdict (see {!Harness.metrics}). *)
 }
 
-val fig10 : ?nprocs:int -> ?repeats:int -> unit -> perf_row list * string
+val fig10 :
+  ?run:Rma_analysis.Run_config.t -> ?nprocs:int -> ?repeats:int -> unit -> perf_row list * string
 (** CFD-Proxy cumulative epoch time, 12 ranks, 50 iterations, the four
     methods; includes the 90k-to-dozens node collapse. *)
 
-val fig11 : ?scale:float -> ?ranks:int list -> unit -> perf_row list * string
+val fig11 :
+  ?run:Rma_analysis.Run_config.t -> ?scale:float -> ?ranks:int list -> unit -> perf_row list * string
 (** MiniVite execution time, 32–256 ranks, scale × 640 000 vertices. *)
 
-val fig12 : ?scale:float -> ?ranks:int list -> unit -> perf_row list * string
+val fig12 :
+  ?run:Rma_analysis.Run_config.t -> ?scale:float -> ?ranks:int list -> unit -> perf_row list * string
 (** Same with scale × 1 280 000 vertices. *)
 
 type par_row = {
@@ -94,7 +103,8 @@ type par_row = {
           overhead-dominated epochs cannot parallelise. *)
 }
 
-val par : ?scale:float -> ?nprocs:int -> ?jobs:int list -> unit -> par_row list * string
+val par :
+  ?run:Rma_analysis.Run_config.t -> ?scale:float -> ?nprocs:int -> ?jobs:int list -> unit -> par_row list * string
 (** The sharded parallel engine on MiniVite (Our Contribution,
     scale × 640 000 vertices, default 8 ranks) at each shard count
     (default [[1; 2; 4]]). [jobs = 1] is the sequential analyzer with
@@ -106,13 +116,14 @@ val par : ?scale:float -> ?nprocs:int -> ?jobs:int list -> unit -> par_row list 
 
 type ablation_row = { variant : string; nodes : int; races : int; wall : float }
 
-val ablation : unit -> ablation_row list * string
+val ablation : ?run:Rma_analysis.Run_config.t -> unit -> ablation_row list * string
 (** Design-choice ablations: fragmentation without merging (node
     explosion), order-blind conflict rule (false positives back), and
     the full contribution, on the Code 2 loop and the microbenchmark
     suite. *)
 
-val export : dir:string -> ?scale:float -> ?ranks:int list -> string list -> unit
+val export :
+  ?run:Rma_analysis.Run_config.t -> dir:string -> ?scale:float -> ?ranks:int list -> string list -> unit
 (** [export ~dir experiments] regenerates the named experiments
     ("table2" ... "fig12", "ablation") and writes one CSV per experiment
     into [dir] (created if missing), plus the generated C sources of the

@@ -15,7 +15,6 @@ let kind_name k = Toolbox.name (to_toolbox k)
 
 let all_paper_tools = [ Baseline; Legacy; Must; Contribution ]
 
-let make_tool ?jobs kind ~nprocs ~config = Toolbox.make (to_toolbox kind) ~nprocs ~config ?jobs ()
 type metrics = {
   tool : string;
   nprocs : int;
@@ -36,17 +35,13 @@ type metrics = {
   critical_path_seconds : float;
 }
 
-let measure ~nprocs ?(config = Mpi_sim.Config.default) ?(jobs = 1) ~workload kind =
+let measure ~nprocs ?(config = Mpi_sim.Config.default) ?(run = Run_config.default) ~workload kind
+    =
   (* Parallel analyzers time themselves (critical-path model at epoch
      barriers); the runtime must not also charge their inline wall time.
      Tools that ignore [jobs] (Baseline, MUST) keep inline charging. *)
-  let config =
-    match kind with
-    | Legacy | Contribution | Fragmentation_only | Order_blind | Strided when jobs > 1 ->
-        { config with Mpi_sim.Config.analysis_self_timed = true }
-    | _ -> config
-  in
-  let tool = make_tool ~jobs kind ~nprocs ~config in
+  let config = match kind with Baseline | Must -> config | _ -> Run_config.sim_config run config in
+  let tool = Run_config.tool run (to_toolbox kind) ~nprocs ~config () in
   let observer = match kind with Baseline -> None | _ -> Some tool.Tool.observer in
   (* Critical path by delta of the process-wide accumulator: the tool
      creates its engines internally, so this is the only seam that sees

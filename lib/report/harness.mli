@@ -17,11 +17,6 @@ val all_paper_tools : tool_kind list
 (** The four configurations of Figures 10–12: baseline, legacy,
     MUST-RMA, contribution. *)
 
-val make_tool :
-  ?jobs:int -> tool_kind -> nprocs:int -> config:Mpi_sim.Config.t -> Rma_analysis.Tool.t
-(** Tools are created in [Collect] mode: the harness measures overhead
-    on complete runs, like the paper's performance experiments. *)
-
 type metrics = {
   tool : string;
   nprocs : int;
@@ -56,7 +51,7 @@ type metrics = {
 val measure :
   nprocs:int ->
   ?config:Mpi_sim.Config.t ->
-  ?jobs:int ->
+  ?run:Rma_analysis.Run_config.t ->
   workload:
     (config:Mpi_sim.Config.t -> observer:Mpi_sim.Event.observer option -> Mpi_sim.Runtime.result) ->
   tool_kind ->
@@ -65,7 +60,11 @@ val measure :
     The workload receives [None] for the baseline so it costs exactly
     nothing, and must run its simulation under the config it is given —
     [measure] owns the config so tool-dependent switches (the
-    self-timing flip below) reach the runtime's cost charging. [jobs > 1] (default 1) runs analyzer-family tools on the
+    self-timing flip below) reach the runtime's cost charging. [run]
+    (default {!Rma_analysis.Run_config.default}) configures the tool,
+    created in [Collect] mode: the harness measures overhead on complete
+    runs, like the paper's performance experiments;
+    [run.jobs > 1] runs analyzer-family tools on the
     sharded {!Rma_par} engine and switches the config to
     [analysis_self_timed] so detector cost is charged by the engine's
     critical-path model instead of inline wall time — the bench [par]

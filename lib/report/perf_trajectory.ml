@@ -167,13 +167,8 @@ let delta_of ~threshold ~sample_name ~metric ~old_value ~new_value =
   in
   { sample_name; metric; old_value; new_value; ratio; regression }
 
-let env_threshold name default =
-  match Option.bind (Sys.getenv_opt name) float_of_string_opt with
-  | Some v when v > 0.0 -> v
-  | _ -> default
-
-let default_rss_threshold () = env_threshold "RMA_BENCH_RSS_THRESHOLD" 1.0
-let default_eps_threshold () = env_threshold "RMA_BENCH_EPS_THRESHOLD" 0.5
+let default_rss_threshold = 1.0
+let default_eps_threshold = 0.5
 
 (* The telemetry fields gate with their own, looser thresholds: RSS and
    throughput are an order noisier than wall time at CI scale, so they
@@ -200,13 +195,8 @@ let telemetry_deltas ~rss_threshold ~eps_threshold old_s new_s =
       mk "critical_path_ms" old_s.critical_path_ms new_s.critical_path_ms false;
     ]
 
-let compare_records ?(threshold = 0.5) ?rss_threshold ?eps_threshold old_r new_r =
-  let rss_threshold =
-    match rss_threshold with Some t -> t | None -> default_rss_threshold ()
-  in
-  let eps_threshold =
-    match eps_threshold with Some t -> t | None -> default_eps_threshold ()
-  in
+let compare_records ?(threshold = 0.5) ?(rss_threshold = default_rss_threshold)
+    ?(eps_threshold = default_eps_threshold) old_r new_r =
   List.concat_map
     (fun old_s ->
       match List.find_opt (fun s -> String.equal s.name old_s.name) new_r.samples with
@@ -238,6 +228,18 @@ let missing_from_candidate ~old_record ~new_record =
     (fun s ->
       if List.exists (fun n -> String.equal n.name s.name) new_record.samples then None
       else Some s.name)
+    old_record.samples
+
+let missing_metrics ~old_record ~new_record =
+  List.concat_map
+    (fun old_s ->
+      match List.find_opt (fun s -> String.equal s.name old_s.name) new_record.samples with
+      | None -> []
+      | Some new_s ->
+          List.filter_map
+            (fun (metric, _) ->
+              if List.mem_assoc metric new_s.metrics then None else Some (old_s.name, metric))
+            old_s.metrics)
     old_record.samples
 
 let render_comparison ?(threshold = 0.5) ?rss_threshold ?eps_threshold ~old_record ~new_record ()
@@ -279,6 +281,7 @@ let render_comparison ?(threshold = 0.5) ?rss_threshold ?eps_threshold ~old_reco
      an experiment pass the gate with fewer comparisons. *)
   let missing = missing_from_baseline ~old_record ~new_record in
   let lost = missing_from_candidate ~old_record ~new_record in
+  let dropped = missing_metrics ~old_record ~new_record in
   let summary =
     if missing <> [] then
       Printf.sprintf
@@ -295,6 +298,14 @@ let render_comparison ?(threshold = 0.5) ?rss_threshold ?eps_threshold ~old_reco
         new_record.generator
         (if List.length lost = 1 then "" else "s")
         (String.concat ", " lost)
+    else if dropped <> [] then
+      Printf.sprintf
+        "FAIL: candidate %s no longer emits baseline metric%s %s — the run dropped coverage, so \
+         %s no longer tracked"
+        new_record.generator
+        (if List.length dropped = 1 then "" else "s")
+        (String.concat ", " (List.map (fun (s, m) -> s ^ "/" ^ m) dropped))
+        (if List.length dropped = 1 then "it is" else "they are")
     else if deltas = [] then "no comparable metrics (disjoint experiment sets?)"
     else if regs = [] then
       Printf.sprintf "OK: %d metrics compared, %d changed beyond 2%%, no regressions past +%.0f%%"
@@ -304,4 +315,4 @@ let render_comparison ?(threshold = 0.5) ?rss_threshold ?eps_threshold ~old_reco
         (List.length deltas)
   in
   let body = if shown = [] then summary ^ "\n" else Table.render t ^ summary ^ "\n" in
-  (body, regs <> [] || missing <> [] || lost <> [])
+  (body, regs <> [] || missing <> [] || lost <> [] || dropped <> [])

@@ -16,14 +16,12 @@ type sample = {
       (** Process peak RSS by the end of the experiment
           ({!Rma_obs.Telemetry.peak_rss_bytes}; monotone across a bench
           run). Gated in comparisons with its own, looser threshold
-          (default +100%, [RMA_BENCH_RSS_THRESHOLD] / [--rss-threshold]
-          override). 0.0 in records written before the field existed —
+          (default +100%, [--rss-threshold] overrides). 0.0 in records written before the field existed —
           comparisons skip zeros. *)
   events_per_sec : float;
       (** Store events processed per wall second during the experiment.
           Gated as {e higher}-is-better: a drop past the threshold
-          (default -50%, [RMA_BENCH_EPS_THRESHOLD] / [--events-threshold]
-          override) regresses. Zeros skipped as above. *)
+          (default -50%, [--events-threshold] overrides) regresses. Zeros skipped as above. *)
   critical_path_ms : float;
       (** Accumulated parallel-engine critical path over the experiment
           ({!Rma_par.critical_path_total} delta; DESIGN.md §13).
@@ -73,16 +71,18 @@ val lower_is_better : string -> bool
     "...ns...", "...nodes...", "...dropped...") regress upward; anything
     else is reported as change only. *)
 
-val default_rss_threshold : unit -> float
-(** 1.0 (= +100%) unless [RMA_BENCH_RSS_THRESHOLD] overrides it. *)
+val default_rss_threshold : float
+(** 1.0 (= +100%). *)
 
-val default_eps_threshold : unit -> float
-(** 0.5 (= -50%) unless [RMA_BENCH_EPS_THRESHOLD] overrides it. *)
+val default_eps_threshold : float
+(** 0.5 (= -50%). *)
 
 val compare_records :
   ?threshold:float -> ?rss_threshold:float -> ?eps_threshold:float -> record -> record ->
   delta list
-(** All metric pairs present in both records, in the old record's order.
+(** All metric pairs present in both records, in the old record's order
+    (a baseline metric the candidate no longer emits is not a pair; see
+    {!missing_metrics}).
     [threshold] is the tolerated relative growth of lower-is-better
     metrics before a delta counts as a regression (default 0.5 = +50%),
     with an absolute floor: sub-millisecond wall times never regress
@@ -108,12 +108,20 @@ val missing_from_candidate : old_record:record -> new_record:record -> string li
     deselected, renamed, or crashed out), so its metrics would silently
     stop being tracked. *)
 
+val missing_metrics : old_record:record -> new_record:record -> (string * string) list
+(** [(experiment, metric)] for every metric-bag key of a baseline sample
+    that the candidate's sample of the same experiment no longer emits
+    — a silently dropped metric, which would otherwise just stop being
+    compared. Experiments missing altogether are
+    {!missing_from_candidate}'s. *)
+
 val render_comparison :
   ?threshold:float -> ?rss_threshold:float -> ?eps_threshold:float -> old_record:record ->
   new_record:record -> unit -> string * bool
 (** Human-readable per-metric table plus a verdict line; the boolean is
     [true] when at least one regression fired {e or} either record lacks
     an experiment the other has ({!missing_from_baseline} /
-    {!missing_from_candidate} — the verdict line then names the missing
-    experiments; a clear failure instead of silently skipping the
-    untracked experiment in either direction). *)
+    {!missing_from_candidate}) {e or} the candidate dropped a baseline
+    metric ({!missing_metrics}) — the verdict line then names what is
+    missing; a clear failure instead of silently skipping the untracked
+    experiment or metric. *)

@@ -3,6 +3,7 @@ module Obs = Rma_obs.Obs
 module Journal = Rma_obs.Journal
 module Tool = Rma_analysis.Tool
 module Toolbox = Rma_analysis.Toolbox
+module Run_config = Rma_analysis.Run_config
 
 type crash = { c_site : string; c_ordinal : int; c_seed : int }
 
@@ -13,6 +14,7 @@ type plan = {
   r_jobs : int;
   r_fault : string option;
   r_budget : string option;
+  r_predictive : bool;
   r_crashes : crash list;
   r_races : int option;
   r_digest : string option;
@@ -46,7 +48,7 @@ let extract events =
         "journal has no run_start record — not a diagnosed single-workload run, or truncated \
          before the header landed"
   | Some start -> (
-      let reserved = [ "event"; "workload"; "jobs"; "fault"; "budget" ] in
+      let reserved = [ "event"; "workload"; "jobs"; "fault"; "budget"; "predictive" ] in
       match kv_find "workload" start with
       | None -> Error "run_start record lacks a workload name"
       | Some workload ->
@@ -63,6 +65,7 @@ let extract events =
                 Option.value ~default:1 (Option.bind (kv_find "jobs" start) int_of_string_opt);
               r_fault = kv_find "fault" start;
               r_budget = kv_find "budget" start;
+              r_predictive = kv_find "predictive" start = Some "true";
               r_crashes = crashes_of_events events;
               r_races = Option.bind summary (fun e -> Option.bind (kv_find "races" e) int_of_string_opt);
               r_digest = Option.bind summary (kv_find "digest");
@@ -71,7 +74,7 @@ let extract events =
 let describe p =
   let plural n = if n = 1 then "" else "es" in
   Printf.sprintf
-    "replay of run %s: workload %s%s, jobs %d, fault %s, budget %s\noriginal run: %d worker \
+    "replay of run %s: workload %s%s, jobs %d, fault %s, budget %s%s\noriginal run: %d worker \
      crash%s, %s\n"
     p.r_run_id p.r_workload
     (match p.r_params with
@@ -80,6 +83,7 @@ let describe p =
     p.r_jobs
     (Option.value ~default:"none" p.r_fault)
     (Option.value ~default:"none" p.r_budget)
+    (if p.r_predictive then ", predictive" else "")
     (List.length p.r_crashes)
     (plural (List.length p.r_crashes))
     (match (p.r_races, p.r_digest) with
@@ -97,7 +101,7 @@ type outcome = {
 (* Mirror of the CLI's tool construction: every diagnosed workload run
    is built from the same base config (overhead scale 2.0, Figure 10's
    operating point), with self-timing on when the analyzer shards. *)
-let build_thunk p =
+let build_thunk p run =
   let param k = List.assoc_opt k p.r_params in
   let int_param k ~default =
     match param k with
@@ -116,10 +120,10 @@ let build_thunk p =
         | None -> Error (Printf.sprintf "run_start names unknown tool %S" s))
   in
   let config =
-    let base = { Mpi_sim.Config.default with Mpi_sim.Config.analysis_overhead_scale = 2.0 } in
-    if p.r_jobs > 1 then { base with Mpi_sim.Config.analysis_self_timed = true } else base
+    Run_config.sim_config run
+      { Mpi_sim.Config.default with Mpi_sim.Config.analysis_overhead_scale = 2.0 }
   in
-  let make_tool ~nprocs = Toolbox.make tool_kind ~nprocs ~config () in
+  let make_tool ~nprocs = Run_config.tool run tool_kind ~nprocs ~config () in
   let observer tool =
     match tool_kind with Toolbox.Baseline -> None | _ -> Some tool.Tool.observer
   in
@@ -199,8 +203,7 @@ let renumber reports =
 let coordinates crashes = List.map (fun c -> (c.c_site, c.c_ordinal)) crashes
 
 let run p =
-  let* thunk = build_thunk p in
-  let* fault_plan =
+  let* fault =
     match p.r_fault with
     | None -> Ok None
     | Some spec -> (
@@ -216,14 +219,15 @@ let run p =
         | Ok b -> Ok (Some b)
         | Error msg -> Error (Printf.sprintf "journaled budget spec %S: %s" spec msg))
   in
+  let* thunk =
+    build_thunk p (Run_config.make ~jobs:p.r_jobs ~predictive:p.r_predictive ?budget ?fault ())
+  in
   (* The re-run journals to a throwaway sink so its crash coordinates
-     can be read back with the same reader the analytics use. Every
-     process-global knob touched here is restored on the way out; an
-     already-open journal sink is closed (not truncated by re-opening),
-     so replay and [--obs-events] do not compose in one process. *)
-  let prev_plan = Rma_fault.plan () in
-  let prev_jobs = Rma_par.default_jobs () in
-  let prev_budget = Rma_fault.Budget.default () in
+     can be read back with the same reader the analytics use. The Obs
+     and journal state touched here is process-global and restored on
+     the way out; an already-open journal sink is closed (not truncated
+     by re-opening), so replay and [--obs-events] do not compose in one
+     process. *)
   let prev_level = Events.level () in
   let was_enabled = Obs.is_enabled () in
   let tmp = Filename.temp_file "rma_replay" ".jsonl" in
@@ -231,18 +235,12 @@ let run p =
     Events.close ();
     Events.set_level prev_level;
     if not was_enabled then Obs.disable ();
-    Rma_par.set_default_jobs prev_jobs;
-    Rma_fault.Budget.set_default prev_budget;
-    (match prev_plan with Some pl -> Rma_fault.install pl | None -> Rma_fault.clear ());
     try Sys.remove tmp with Sys_error _ -> ()
   in
   Fun.protect ~finally:restore (fun () ->
       Obs.enable ();
       Events.set_level Events.Info;
       Events.set_sink tmp;
-      Rma_par.set_default_jobs (max 1 p.r_jobs);
-      Rma_fault.Budget.set_default budget;
-      (match fault_plan with Some pl -> Rma_fault.install pl | None -> Rma_fault.clear ());
       let reports = renumber (thunk ()) in
       Events.close ();
       let crashes = crashes_of_events (Journal.read_file tmp).Journal.events in

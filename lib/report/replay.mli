@@ -2,8 +2,8 @@
 
     A journal written by a diagnosed run (see {!Diag.with_diag}) carries
     everything needed to reproduce it: the [run_start] record names the
-    workload, its parameters, the effective shard count and the
-    canonical fault-plan/budget specs; each [worker_crash] record pins
+    workload, its parameters and the run config (shard count, canonical
+    fault-plan/budget specs, predictive mode); each [worker_crash] record pins
     the exact fault coordinate [(seed, site, ordinal)]; and the
     [run_summary] record carries the race count and
     {!Race_export.verdict_digest} of the verdicts. This module closes
@@ -15,7 +15,7 @@
 
     Determinism rests on {!Rma_fault.fire}: faults are a pure function
     of [(plan.seed, site, ordinal)] drawn on the submitting thread, so
-    reinstalling the journaled plan replays the identical fault
+    a fresh injector of the journaled plan replays the identical fault
     schedule regardless of wall-clock interleaving. *)
 
 type crash = {
@@ -31,6 +31,7 @@ type plan = {
   r_jobs : int;  (** Effective shard count of the original run. *)
   r_fault : string option;  (** Canonical {!Rma_fault.Plan} spec. *)
   r_budget : string option;  (** Canonical {!Rma_fault.Budget} spec. *)
+  r_predictive : bool;  (** Predictive analysis was on. *)
   r_crashes : crash list;  (** Worker crashes, in journal order. *)
   r_races : int option;  (** [run_summary] race count, when present. *)
   r_digest : string option;  (** [run_summary] verdict digest. *)
@@ -60,12 +61,12 @@ type outcome = {
 }
 
 val run : plan -> (outcome, string) result
-(** Re-execute the drill: reinstall the journaled fault plan (zeroing
-    every ordinal), shard count and budget, run the named workload with
-    the same parameters under the same detector, and journal the re-run
-    to a temporary file to recover its crash coordinates. Process-global
-    knobs (fault plan, default jobs, default budget, journal sink) are
-    restored afterwards, even on raise. [Error] on an unknown workload
+(** Re-execute the drill: rebuild the run config from the journal (a
+    fresh injector of the journaled fault plan, shard count, budget,
+    predictive mode), run the named workload with the same parameters
+    under the same detector, and journal the re-run to a temporary file
+    to recover its crash coordinates. The process-global Obs state and
+    journal sink are restored afterwards, even on raise. [Error] on an unknown workload
     or malformed parameters — the journal, not this process, is the
     source of truth, so nothing is guessed. *)
 

@@ -3,6 +3,7 @@ module Events = Rma_obs.Events
 module Sessions = Rma_obs.Sessions
 module Tool = Rma_analysis.Tool
 module Toolbox = Rma_analysis.Toolbox
+module Run_config = Rma_analysis.Run_config
 module Report = Rma_analysis.Report
 module Codec = Rma_trace.Codec
 module Race_export = Rma_report.Race_export
@@ -102,28 +103,10 @@ let graceful_close fd =
 let with_id id (r : Report.t) =
   { r with Report.provenance = { r.Report.provenance with Report.id = id } }
 
-(* Bracket one session's processing slice: its private fault schedule
-   is restored before and re-captured after (so interleaved sessions
-   never perturb each other's deterministic ordinals), and its run_id
-   labels every journal record emitted inside. The daemon's own fault
-   state — whatever the operator installed process-wide — is put back
-   on exit. *)
-let with_session_env (s : Session.t) f =
-  let saved = Rma_fault.snapshot () in
-  (match s.Session.fault_snap with
-  | Some snap -> Rma_fault.restore snap
-  | None -> Rma_fault.clear ());
-  let leave () =
-    s.Session.fault_snap <- Some (Rma_fault.snapshot ());
-    Rma_fault.restore saved
-  in
-  match Events.with_run_id s.Session.run_id f with
-  | v ->
-      leave ();
-      v
-  | exception e ->
-      leave ();
-      raise e
+(* Bracket one session's processing slice: its run_id labels every
+   journal record emitted inside. (Its fault schedule needs no
+   bracket: the injector belongs to the session's tool.) *)
+let with_session_env (s : Session.t) f = Events.with_run_id s.Session.run_id f
 
 let rec close_session t (s : Session.t) reason =
   if Session.is_open s then begin
@@ -146,7 +129,6 @@ let rec close_session t (s : Session.t) reason =
             Events.Info "serve")
     end;
     s.Session.tool <- None;
-    s.Session.fault_snap <- None;
     Queue.clear s.Session.inbox;
     graceful_close s.Session.fd;
     t.sessions <- List.filter (fun x -> x != s) t.sessions;
@@ -175,16 +157,14 @@ and send t (s : Session.t) line =
 
 and admit t (s : Session.t) (h : Protocol.hello) =
   s.Session.run_id <- Printf.sprintf "%s-s%d" t.daemon_run_id s.Session.id;
-  (* Give the session a private fault schedule starting at ordinal 0,
-     without disturbing the daemon's own installed state. *)
-  let saved = Rma_fault.snapshot () in
-  (match h.Protocol.fault with Some p -> Rma_fault.install p | None -> Rma_fault.clear ());
-  s.Session.fault_snap <- Some (Rma_fault.snapshot ());
-  Rma_fault.restore saved;
-  s.Session.tool <-
-    Some
-      (Toolbox.make h.Protocol.tool ~nprocs:h.Protocol.nprocs ?jobs:h.Protocol.jobs
-         ?budget:h.Protocol.budget ?predictive:h.Protocol.predictive ());
+  (* The handshake is this session's run config: a private fault
+     injector starting at ordinal 0, and fixed defaults for whatever the
+     client left out. *)
+  let run =
+    Run_config.make ?jobs:h.Protocol.jobs ?predictive:h.Protocol.predictive
+      ?budget:h.Protocol.budget ?fault:h.Protocol.fault ()
+  in
+  s.Session.tool <- Some (Run_config.tool run h.Protocol.tool ~nprocs:h.Protocol.nprocs ());
   if s.Session.phase = Session.Queued then Atomic.decr t.g_queued;
   s.Session.phase <- Session.Streaming;
   Atomic.incr t.g_active;
@@ -327,8 +307,7 @@ and drain t (s : Session.t) =
         drain t s
     | Session.Streaming ->
         (* One processing slice per run of queued trace lines, not one
-           per line: the environment bracket costs two fault snapshots
-           and a journal context switch. *)
+           per line: the run-id bracket is a journal context switch. *)
         with_session_env s (fun () -> feed_queued t s);
         drain t s
 

@@ -5,7 +5,7 @@
     serviced round-robin from a rotating offset (fairness), decoding
     Codec streams incrementally, driving each session's detector, and
     streaming {!Protocol} verdict lines back. Single-threadedness is
-    load-bearing: the {!Rma_fault} schedule, the {!Rma_obs.Obs}
+    load-bearing: {!Rma_fault} injectors, the {!Rma_obs.Obs}
     registry and {!Rma_par} submission are all caller-thread
     disciplines, and one loop thread satisfies them for every session
     at once. Worker domains still parallelise the analysis itself —
@@ -13,13 +13,14 @@
     process-global {!Rma_par} pool, which is reused across sessions and
     never grows past the largest request ({!Rma_par.pool_size}).
 
-    {b Isolation.} Each admitted session gets its own detector tool
-    (stores, budget, shard engine), its own run_id
+    {b Isolation.} The handshake is the session's run config
+    ({!Rma_analysis.Run_config}; omitted fields take the fixed defaults,
+    never the daemon's own flags). Each admitted session gets its own
+    detector tool (stores, budget, shard engine), its own run_id
     (["<daemon>-s<n>"], labelling journal records and the
     [rma_session_info] metric via {!Rma_obs.Sessions}), and its own
-    {!Rma_fault} schedule: the daemon snapshots/restores fault state
-    around every processing slice, so interleaving sessions never
-    perturbs each other's deterministic fault ordinals. Verdicts are
+    {!Rma_fault} injector, owned by its tool — so interleaving sessions
+    never perturb each other's deterministic fault ordinals. Verdicts are
     byte-identical to the offline [analyze] path by construction — the
     same tool, fed the same events in the same order, with races
     renumbered to stream order exactly as the offline export renumbers.
@@ -33,7 +34,7 @@
     handshake.
 
     {b Churn.} A session may disconnect at any point, including
-    mid-epoch; its tool, fault snapshot and socket are released and a
+    mid-epoch; its tool (with its injector) and socket are released and a
     queued session is promoted. Nothing session-scoped survives the
     close — {!Rma_obs.Sessions.registered_count} and
     {!Rma_par.pool_size} are the leak-check surfaces the churn test
@@ -74,8 +75,8 @@ val request_stop : t -> unit
 
 val start : t -> unit
 (** Run the loop on a background domain (tests and the bench soak).
-    While it runs, the loop thread owns the process-global
-    fault/obs/par caller-thread state — do not run analyses from other
+    While it runs, the loop thread owns the process-global obs/par
+    caller-thread state — do not run analyses from other
     threads until {!stop} returns. *)
 
 val stop : t -> unit

@@ -2,8 +2,8 @@
 
     The daemon owns every transition; this module just names the state
     machine and keeps the per-session mutable record — socket, receive
-    buffer, handshake, detector tool, incremental decoder, and the
-    session's private {!Rma_fault} schedule position.
+    buffer, handshake, detector tool (which owns the session's private
+    {!Rma_fault} injector, if any) and incremental decoder.
 
     {v
       Handshaking ──hello, slot free──────────────▶ Streaming
@@ -49,10 +49,6 @@ type t = {
   mutable run_id : string;  (** ["<daemon run id>-s<id>"] once admitted. *)
   mutable tool : Rma_analysis.Tool.t option;
   decoder : Rma_trace.Codec.Incremental.t;
-  mutable fault_snap : Rma_fault.snapshot option;
-      (** Where this session's private fault schedule paused — restored
-          around every processing slice so interleaved sessions never
-          perturb each other's deterministic fault ordinals. *)
   mutable races_streamed : int;
   mutable last_race_count : int;
   mutable events_fed : int;

@@ -34,8 +34,7 @@ val create :
     callers still passing [~batch:false] keep compiling; nothing else
     should pass it.
 
-    [?budget] (default {!Rma_fault.Budget.default}, i.e. the process
-    default or none) bounds the store: an insert leaving the store over
+    [?budget] (default: unbounded) bounds the store: an insert leaving the store over
     the effective node cap triggers the budget's degradation policy —
     {!Rma_fault.Budget.Exhausted} under [Fail_fast], oldest-first
     eviction under [Spill_oldest_epoch], provenance-discarding merging

@@ -15,7 +15,6 @@ let obs_drops =
     "store.degraded_drops"
 
 let create ?budget ~bytes_per_node () =
-  let budget = match budget with Some b -> Some b | None -> Budget.default () in
   match budget with
   | None -> None
   | Some b when Budget.is_unbounded b -> None

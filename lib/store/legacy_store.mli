@@ -16,7 +16,7 @@
 type t
 
 val create : ?budget:Rma_fault.Budget.t -> unit -> t
-(** [?budget] (default {!Rma_fault.Budget.default}) bounds the store
+(** [?budget] (default: unbounded) bounds the store
     exactly as on {!Disjoint_store.create}; the legacy store spills and
     coarsens over its plain multiset. *)
 

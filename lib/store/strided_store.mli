@@ -48,8 +48,8 @@ val region_covers : region -> Interval.t -> bool
 type t
 
 val create : ?order_aware:bool -> ?budget:Rma_fault.Budget.t -> unit -> t
-(** Default [order_aware = true]. [?budget] (default
-    {!Rma_fault.Budget.default}) bounds the region count as on
+(** Default [order_aware = true]. [?budget] (default:
+    unbounded) bounds the region count as on
     {!Disjoint_store.create}; [Coarsen] merges perfect stride
     continuations ignoring debug info (coverage-exact), then spills
     oldest regions if still over. *)

@@ -547,24 +547,24 @@ let corrupt_line line =
     Bytes.to_string b
   end
 
-let write_all oc events =
+let write_all ?fault oc events =
   output_string oc header;
   output_char oc '\n';
-  let faulty = Rma_fault.active () in
+  let fire site = match fault with Some inj -> Rma_fault.fire inj site | None -> false in
   let truncated = ref false in
   let written = ref 0 in
   List.iter
     (fun e ->
       if not !truncated then begin
         let line = encode_event e in
-        if faulty && Rma_fault.fire Rma_fault.Trace_truncate then begin
+        if fire Rma_fault.Trace_truncate then begin
           (* Cut mid-line: half the bytes land, the newline and the
              footer never do. *)
           truncated := true;
           output_string oc (String.sub line 0 (String.length line / 2))
         end
         else begin
-          let line = if faulty && Rma_fault.fire Rma_fault.Trace_corrupt then corrupt_line line else line in
+          let line = if fire Rma_fault.Trace_corrupt then corrupt_line line else line in
           output_string oc line;
           output_char oc '\n';
           incr written

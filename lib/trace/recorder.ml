@@ -22,9 +22,9 @@ let clear t =
   t.events <- [];
   t.count <- 0
 
-let save t ~path =
+let save ?fault t ~path =
   let oc = open_out path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Codec.write_all oc (events t))
+  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Codec.write_all ?fault oc (events t))
 
 let load ~path =
   let ic = open_in path in

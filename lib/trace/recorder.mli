@@ -22,9 +22,10 @@ val length : t -> int
 
 val clear : t -> unit
 
-val save : t -> path:string -> unit
+val save : ?fault:Rma_fault.t -> t -> path:string -> unit
 (** Write the trace file ({!Codec.write_all}: framed format 2; the
-    [Trace_corrupt]/[Trace_truncate] fault sites live inside). *)
+    [Trace_corrupt]/[Trace_truncate] fault sites of the run's [fault]
+    injector live inside). *)
 
 val load : path:string -> (Mpi_sim.Event.event list, string) result
 (** Read a trace file back; [Error] renders the structured

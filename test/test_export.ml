@@ -21,9 +21,10 @@ let with_recorder f =
 (* Figure 5's Code 1 against the contribution tool: Load(4) is dominated
    by the Put's fragment (Table 1) and every piece merges back into one
    [2..12] node carrying only the Put's debug info, then Store(7) races
-   against it. The canonical provenance-loss case. *)
-let code1_race_reports () =
-  let tool = Rma_analyzer.create ~nprocs:2 ~mode:Tool.Collect Rma_analyzer.Contribution in
+   against it. The canonical provenance-loss case. [run] is the
+   analysis configuration (test_config_matrix sweeps it). *)
+let code1_race_reports ?(run = Run_config.default) () =
+  let tool = Run_config.tool run Toolbox.Contribution ~nprocs:2 () in
   let feed e = ignore (tool.Tool.observer e) in
   let access ~seq ~line ~op lo hi kind =
     Event.Access
@@ -130,7 +131,7 @@ let test_json_round_trip () =
    lines (which regular merging refuses), then a local write lands on
    the coarse node. The report must carry [degraded = true] end-to-end:
    JSON round-trip, and downgraded confidence in SARIF. *)
-let degraded_race_reports () =
+let degraded_race_reports ?(run = Run_config.default) () =
   let budget =
     {
       Rma_fault.Budget.max_nodes = Some 2;
@@ -138,7 +139,9 @@ let degraded_race_reports () =
       policy = Rma_fault.Budget.Coarsen;
     }
   in
-  let tool = Rma_analyzer.create ~nprocs:2 ~mode:Tool.Collect ~budget Rma_analyzer.Contribution in
+  let tool =
+    Run_config.tool { run with Run_config.budget = Some budget } Toolbox.Contribution ~nprocs:2 ()
+  in
   let feed e = ignore (tool.Tool.observer e) in
   let access ~seq ~line ~op lo hi kind =
     Event.Access
@@ -441,7 +444,7 @@ let test_threaded_json_round_trip () =
 
 (* End-to-end golden: the canonical unordered-sibling-store hybrid race
    exported as JSON. GOLDEN_OUT_HYBRID=/abs/path regenerates. *)
-let hybrid_race_reports () =
+let hybrid_race_reports ?(run = Run_config.default) () =
   let k =
     match
       Rma_microbench.Scenario.Kernel.find "hyb_lockall_local_tstore_put_unordered_race"
@@ -450,8 +453,7 @@ let hybrid_race_reports () =
     | None -> Alcotest.fail "hybrid kernel missing"
   in
   let tool =
-    Rma_analyzer.create ~nprocs:k.Rma_microbench.Scenario.Kernel.k_nprocs ~mode:Tool.Collect
-      Rma_analyzer.Contribution
+    Run_config.tool run Toolbox.Contribution ~nprocs:k.Rma_microbench.Scenario.Kernel.k_nprocs ()
   in
   let v = Rma_microbench.Runner.run_kernel ~interleave_seed:13 ~tool k in
   v.Rma_microbench.Runner.k_reports

@@ -15,24 +15,6 @@ module Race_export = Rma_report.Race_export
 module Plan = Rma_fault.Plan
 module Budget = Rma_fault.Budget
 
-(* The suite may run under a CI-installed RMA_FAULT plan; every test
-   that touches the process-global plan saves and restores it so the
-   rest of the test binary keeps the environment's behaviour. *)
-let with_plan plan f =
-  let saved = Rma_fault.plan () in
-  Rma_fault.install plan;
-  Fun.protect
-    ~finally:(fun () ->
-      match saved with Some p -> Rma_fault.install p | None -> Rma_fault.clear ())
-    f
-
-let without_plan f =
-  let saved = Rma_fault.plan () in
-  Rma_fault.clear ();
-  Fun.protect
-    ~finally:(fun () -> match saved with Some p -> Rma_fault.install p | None -> ())
-    f
-
 let mk_access ?(issuer = 0) ?(kind = Access_kind.Rma_read) ~seq ~line lo hi =
   Access.make
     ~interval:(Interval.make ~lo ~hi)
@@ -88,20 +70,20 @@ let test_budget_spec () =
 
 let test_fire_deterministic () =
   let plan = { Plan.default with Plan.seed = 42; worker_crash = 0.5; trace_corrupt = 0.25 } in
-  let record site n = List.init n (fun _ -> Rma_fault.fire site) in
+  let record inj site n = List.init n (fun _ -> Rma_fault.fire inj site) in
   let crashes1, corrupts1, hits1 =
-    with_plan plan (fun () ->
-        let c = record Rma_fault.Worker_crash 200 in
-        let t = record Rma_fault.Trace_corrupt 100 in
-        (c, t, Rma_fault.fired Rma_fault.Worker_crash))
+    let inj = Rma_fault.create plan in
+    let c = record inj Rma_fault.Worker_crash 200 in
+    let t = record inj Rma_fault.Trace_corrupt 100 in
+    (c, t, Rma_fault.fired inj Rma_fault.Worker_crash)
   in
   (* Same plan, opposite interleaving: each site's schedule depends only
      on its own ordinals, so the answers are identical. *)
   let crashes2, corrupts2, hits2 =
-    with_plan plan (fun () ->
-        let t = record Rma_fault.Trace_corrupt 100 in
-        let c = record Rma_fault.Worker_crash 200 in
-        (c, t, Rma_fault.fired Rma_fault.Worker_crash))
+    let inj = Rma_fault.create plan in
+    let t = record inj Rma_fault.Trace_corrupt 100 in
+    let c = record inj Rma_fault.Worker_crash 200 in
+    (c, t, Rma_fault.fired inj Rma_fault.Worker_crash)
   in
   Alcotest.(check (list bool)) "crash schedule replays" crashes1 crashes2;
   Alcotest.(check (list bool)) "corrupt schedule replays" corrupts1 corrupts2;
@@ -112,12 +94,20 @@ let test_fire_deterministic () =
   Alcotest.(check bool) "a 0.5 rate misses sometimes" true (hits1 < 200);
   (* A different seed produces a different schedule. *)
   let crashes3 =
-    with_plan { plan with Plan.seed = 43 } (fun () -> record Rma_fault.Worker_crash 200)
+    record (Rma_fault.create { plan with Plan.seed = 43 }) Rma_fault.Worker_crash 200
   in
   Alcotest.(check bool) "seed changes the schedule" false (crashes1 = crashes3);
-  without_plan (fun () ->
-      Alcotest.(check bool) "no plan, no faults" false (Rma_fault.fire Rma_fault.Worker_crash);
-      Alcotest.(check int) "no plan, no counts" 0 (Rma_fault.fired Rma_fault.Worker_crash))
+  (* Two injectors of one plan keep separate ordinals: drawing from one
+     never moves the other's schedule. *)
+  let a = Rma_fault.create plan and b = Rma_fault.create plan in
+  let a1 = record a Rma_fault.Worker_crash 100 in
+  ignore (record b Rma_fault.Worker_crash 37);
+  let a2 = record a Rma_fault.Worker_crash 100 in
+  Alcotest.(check (list bool)) "an injector's schedule is its own" crashes1 (a1 @ a2);
+  Alcotest.(check int) "ordinals count per injector" 37 (Rma_fault.ordinal b Rma_fault.Worker_crash);
+  let quiet = Rma_fault.create Plan.default in
+  Alcotest.(check bool) "rate 0, no faults" false (Rma_fault.fire quiet Rma_fault.Worker_crash);
+  Alcotest.(check int) "rate 0, no counts" 0 (Rma_fault.fired quiet Rma_fault.Worker_crash)
 
 (* --- budget governance on the stores --------------------------------- *)
 
@@ -229,10 +219,10 @@ let run_tagged_tasks engine ~jobs ~n =
         expected got)
     logs
 
+let engine plan = Rma_par.create ~jobs:2 ~fault:(Rma_fault.create plan) ()
+
 let test_par_crash_recovery () =
-  with_plan { Plan.default with Plan.seed = 11; worker_crash = 0.3; max_retries = 5 }
-  @@ fun () ->
-  let e = Rma_par.create ~jobs:2 () in
+  let e = engine { Plan.default with Plan.seed = 11; worker_crash = 0.3; max_retries = 5 } in
   run_tagged_tasks e ~jobs:2 ~n:200;
   let s = Rma_par.recovery_stats e in
   Alcotest.(check bool) "crashes were injected" true (s.Rma_par.crashes > 0);
@@ -243,18 +233,14 @@ let test_par_retries_exhaust_to_inline () =
   (* Rate 1.0: the shard crashes on every submit and every replay, so
      recovery must exhaust its retries and degrade to inline execution —
      still running every task, in order. *)
-  with_plan { Plan.default with Plan.seed = 5; worker_crash = 1.0; max_retries = 2 }
-  @@ fun () ->
-  let e = Rma_par.create ~jobs:2 () in
+  let e = engine { Plan.default with Plan.seed = 5; worker_crash = 1.0; max_retries = 2 } in
   run_tagged_tasks e ~jobs:2 ~n:40;
   let s = Rma_par.recovery_stats e in
   Alcotest.(check bool) "fallback engaged" true (s.Rma_par.fallbacks > 0);
   Alcotest.(check bool) "crashes counted" true (s.Rma_par.crashes > 0)
 
 let test_par_queue_overflow_degrades_inline () =
-  with_plan { Plan.default with Plan.seed = 3; queue_overflow = 1.0 }
-  @@ fun () ->
-  let e = Rma_par.create ~jobs:2 () in
+  let e = engine { Plan.default with Plan.seed = 3; queue_overflow = 1.0 } in
   run_tagged_tasks e ~jobs:2 ~n:40;
   let s = Rma_par.recovery_stats e in
   Alcotest.(check int) "every submit overflowed to inline" 40 s.Rma_par.overflows;
@@ -278,10 +264,12 @@ let sample_events =
     Event.Epoch_closed { win = 0; rank = 0; sim_time = 3.0 };
   ]
 
-let write_trace events =
+let write_trace ?fault events =
   let path = Filename.temp_file "fault_trace" ".txt" in
   let oc = open_out_bin path in
-  Fun.protect ~finally:(fun () -> close_out oc) (fun () -> Rma_trace.Codec.write_all oc events);
+  Fun.protect
+    ~finally:(fun () -> close_out oc)
+    (fun () -> Rma_trace.Codec.write_all ?fault oc events);
   let ic = open_in_bin path in
   let s =
     Fun.protect
@@ -301,15 +289,16 @@ let read_trace s =
   r
 
 let test_codec_truncation_detected () =
-  let clean = without_plan (fun () -> write_trace sample_events) in
+  let clean = write_trace sample_events in
   (match read_trace clean with
   | Ok evs -> Alcotest.(check int) "clean trace round-trips" 4 (List.length evs)
   | Error e -> Alcotest.failf "clean trace rejected: %s" (Rma_trace.Codec.error_to_string e));
   let truncated =
-    with_plan { Plan.default with Plan.seed = 9; trace_truncate = 1.0 } (fun () ->
-        let s = write_trace sample_events in
-        Alcotest.(check bool) "truncation fired" true (Rma_fault.fired Rma_fault.Trace_truncate > 0);
-        s)
+    let fault = Rma_fault.create { Plan.default with Plan.seed = 9; trace_truncate = 1.0 } in
+    let s = write_trace ~fault sample_events in
+    Alcotest.(check bool) "truncation fired" true
+      (Rma_fault.fired fault Rma_fault.Trace_truncate > 0);
+    s
   in
   Alcotest.(check bool) "truncated stream is shorter" true
     (String.length truncated < String.length clean);
@@ -320,10 +309,10 @@ let test_codec_truncation_detected () =
 
 let test_codec_corruption_deterministic_and_total () =
   let plan = { Plan.default with Plan.seed = 13; trace_corrupt = 1.0 } in
-  let corrupted1 = with_plan plan (fun () -> write_trace sample_events) in
-  let corrupted2 = with_plan plan (fun () -> write_trace sample_events) in
+  let corrupted1 = write_trace ~fault:(Rma_fault.create plan) sample_events in
+  let corrupted2 = write_trace ~fault:(Rma_fault.create plan) sample_events in
   Alcotest.(check string) "same plan writes identical corruption" corrupted1 corrupted2;
-  let clean = without_plan (fun () -> write_trace sample_events) in
+  let clean = write_trace sample_events in
   Alcotest.(check bool) "corruption changed the bytes" false (String.equal clean corrupted1);
   (* Totality: a corrupted stream decodes to Ok or a structured Error —
      never an exception. *)
@@ -385,13 +374,15 @@ let soak_plans = 500
 let test_soak_500_plans_no_silent_change () =
   let nprocs = 4 in
   let events = soak_events ~nprocs ~wins:2 ~n:400 in
-  let run ?budget ~jobs () =
-    let tool = Rma_analyzer.create ~nprocs ~mode:Tool.Collect ~jobs ?budget Rma_analyzer.Contribution in
+  let run ?budget ?fault ~jobs () =
+    let tool =
+      Rma_analyzer.create ~nprocs ~mode:Tool.Collect ~jobs ?budget ?fault Rma_analyzer.Contribution
+    in
     List.iter (fun e -> ignore (tool.Tool.observer e)) events;
     let json = Json.to_string (Race_export.to_json ~generator:"fault-soak" (tool.Tool.races ())) in
     (json, (tool.Tool.bst_summary ()).Tool.degraded_drops_total)
   in
-  let clean_json, clean_drops = without_plan (fun () -> run ~jobs:1 ()) in
+  let clean_json, clean_drops = run ~jobs:1 () in
   Alcotest.(check int) "clean run is not degraded" 0 clean_drops;
   let budget = spill_budget 48 in
   let silent = ref [] in
@@ -399,22 +390,22 @@ let test_soak_500_plans_no_silent_change () =
     let plan =
       { Plan.default with Plan.seed; worker_crash = 0.05; queue_overflow = 0.03; max_retries = 2 }
     in
-    with_plan plan (fun () ->
-        if seed mod 3 = 0 then begin
-          (* Budgeted leg: the verdict may legitimately change, but only
-             with the degradation reported. *)
-          let json, drops = run ~budget ~jobs:2 () in
-          if (not (String.equal json clean_json)) && drops = 0 then
-            silent := (seed, "budgeted verdict changed with zero degraded_drops") :: !silent
-        end
-        else begin
-          (* Fault-only leg: engine crashes and overflows are recovered;
-             the verdict must be byte-identical. *)
-          let json, drops = run ~jobs:2 () in
-          if not (String.equal json clean_json) then
-            silent := (seed, "engine faults changed the verdict") :: !silent;
-          if drops <> 0 then silent := (seed, "unbudgeted run claimed degradation") :: !silent
-        end)
+    let fault = Rma_fault.create plan in
+    if seed mod 3 = 0 then begin
+      (* Budgeted leg: the verdict may legitimately change, but only
+         with the degradation reported. *)
+      let json, drops = run ~budget ~fault ~jobs:2 () in
+      if (not (String.equal json clean_json)) && drops = 0 then
+        silent := (seed, "budgeted verdict changed with zero degraded_drops") :: !silent
+    end
+    else begin
+      (* Fault-only leg: engine crashes and overflows are recovered;
+         the verdict must be byte-identical. *)
+      let json, drops = run ~fault ~jobs:2 () in
+      if not (String.equal json clean_json) then
+        silent := (seed, "engine faults changed the verdict") :: !silent;
+      if drops <> 0 then silent := (seed, "unbudgeted run claimed degradation") :: !silent
+    end
   done;
   match !silent with
   | [] -> ()

@@ -11,6 +11,7 @@ module Diag = Rma_report.Diag
 module Replay = Rma_report.Replay
 module Tool = Rma_analysis.Tool
 module Toolbox = Rma_analysis.Toolbox
+module Run_config = Rma_analysis.Run_config
 
 (* --- line-level totality --------------------------------------------- *)
 
@@ -159,13 +160,10 @@ let test_stats_counts () =
    sequence, byte-identical verdict digest. *)
 let drill_params = [ ("tool", "contribution"); ("ranks", "4"); ("seed", "5"); ("vertices", "2000"); ("inject", "true") ]
 
-let run_drill () =
+let run_drill run =
   let config =
-    {
-      Mpi_sim.Config.default with
-      Mpi_sim.Config.analysis_overhead_scale = 2.0;
-      analysis_self_timed = true;
-    }
+    Run_config.sim_config run
+      { Mpi_sim.Config.default with Mpi_sim.Config.analysis_overhead_scale = 2.0 }
   in
   let params =
     {
@@ -175,22 +173,18 @@ let run_drill () =
       inject_race = true;
     }
   in
-  let tool = Toolbox.make Toolbox.Contribution ~nprocs:4 ~config () in
+  let tool = Run_config.tool run Toolbox.Contribution ~nprocs:4 ~config () in
   let _ = Minivite.Louvain.run params ~nprocs:4 ~seed:5 ~config ~observer:tool.Tool.observer () in
   tool.Tool.races ()
 
 let test_replay_roundtrip () =
   let journal = Filename.temp_file "rma_replay_test" ".jsonl" in
-  let prev_budget = Rma_fault.Budget.default () in
   let restore () =
     Events.close ();
     Events.clear ();
     Events.set_level Events.Info;
     Obs.disable ();
     Obs.reset ();
-    Rma_fault.clear ();
-    Rma_fault.Budget.set_default prev_budget;
-    Rma_par.set_default_jobs 1;
     try Sys.remove journal with Sys_error _ -> ()
   in
   Fun.protect ~finally:restore @@ fun () ->

@@ -15,21 +15,13 @@ module Race_export = Rma_report.Race_export
 
 (* --- engine contract ------------------------------------------------ *)
 
-let with_default_jobs f =
-  let saved = Rma_par.default_jobs () in
-  Fun.protect ~finally:(fun () -> Rma_par.set_default_jobs saved) f
-
 let test_jobs_clamped () =
-  with_default_jobs @@ fun () ->
-  Rma_par.set_default_jobs 0;
-  Alcotest.(check int) "0 clamps to 1" 1 (Rma_par.default_jobs ());
-  Rma_par.set_default_jobs 999;
-  Alcotest.(check int) "999 clamps to max_jobs" Rma_par.max_jobs (Rma_par.default_jobs ());
-  Rma_par.set_default_jobs 3;
-  Alcotest.(check int) "in-range value kept" 3 (Rma_par.default_jobs ());
-  Alcotest.(check int) "create honours the default" 3 (Rma_par.jobs (Rma_par.create ()));
-  Alcotest.(check int) "create clamps explicit jobs" Rma_par.max_jobs
-    (Rma_par.jobs (Rma_par.create ~jobs:123 ()))
+  let jobs ?jobs () = Rma_par.jobs (Rma_par.create ?jobs ()) in
+  Alcotest.(check int) "omitted jobs is 1" 1 (jobs ());
+  Alcotest.(check int) "0 clamps to 1" 1 (jobs ~jobs:0 ());
+  Alcotest.(check int) "negative clamps to 1" 1 (jobs ~jobs:(-3) ());
+  Alcotest.(check int) "999 clamps to max_jobs" Rma_par.max_jobs (jobs ~jobs:999 ());
+  Alcotest.(check int) "in-range value kept" 3 (jobs ~jobs:3 ())
 
 let test_shard_of_stable () =
   let e = Rma_par.create ~jobs:4 () in
@@ -217,12 +209,10 @@ let test_kernel_sweep_jobs4 () =
 
 (* --- golden stability under sharded execution ----------------------- *)
 
-(* The Code 1 provenance scenario of test_export.ml, parameterised over
-   the shard count. *)
-let code1_reports ~jobs () =
-  let tool =
-    Rma_analyzer.create ~nprocs:2 ~mode:Tool.Collect ~jobs Rma_analyzer.Contribution
-  in
+(* The Code 1 provenance scenario of test_export.ml, closed by the end
+   of its epoch, parameterised over the analysis configuration. *)
+let code1_reports ?(run = Run_config.default) () =
+  let tool = Run_config.tool run Toolbox.Contribution ~nprocs:2 () in
   let feed e = ignore (tool.Tool.observer e) in
   let access ~seq ~line ~op lo hi kind =
     Event.Access
@@ -258,7 +248,7 @@ let read_file path =
 
 let test_explain_matches_golden () =
   let explain_of reports = Race_export.explain (List.hd reports) ^ "\n" in
-  let seq = with_recorder (code1_reports ~jobs:1) in
+  let seq = with_recorder code1_reports in
   Alcotest.(check int) "one race" 1 (List.length seq);
   (* GOLDEN_OUT_EXPLAIN=/abs/path (or GOLDEN_OUT_DIR, see
      test/golden_regen.ml) regenerates the golden file instead of
@@ -268,11 +258,11 @@ let test_explain_matches_golden () =
   | None ->
       let golden = read_file "golden/explain.txt" in
       Alcotest.(check string) "explain matches the golden file" golden (explain_of seq);
-      let par = with_recorder (code1_reports ~jobs:4) in
+      let par = with_recorder (code1_reports ~run:(Run_config.make ~jobs:4 ())) in
       Alcotest.(check string) "explain stable at jobs=4" golden (explain_of par)
 
 let test_sarif_golden_stable_at_jobs4 () =
-  let reports = with_recorder (code1_reports ~jobs:4) in
+  let reports = with_recorder (code1_reports ~run:(Run_config.make ~jobs:4 ())) in
   let sarif = Json.to_string (Race_export.to_sarif ~generator:"test" reports) ^ "\n" in
   let golden = read_file "golden/race.sarif" in
   Alcotest.(check string) "SARIF golden reproduced by the sharded engine" golden sarif

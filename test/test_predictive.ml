@@ -263,11 +263,14 @@ let test_observed_exports_byte_identical () =
   Alcotest.(check int) "observed-only reports stay on schema v2" 2
     (Race_export.used_schema_version obs)
 
-let predicted_race_reports () =
+let predicted_race_reports ?(run = Run_config.default) () =
   match Scenario.Kernel.find "prd_lockall_remote_epochs_put_put_race" with
   | None -> Alcotest.fail "prd kernel missing"
   | Some k ->
-      let tool = mk_tool ~nprocs:k.Scenario.Kernel.k_nprocs ~predictive:true () in
+      let tool =
+        Run_config.tool { run with Run_config.predictive = true } Toolbox.Contribution
+          ~nprocs:k.Scenario.Kernel.k_nprocs ()
+      in
       let v = Runner.run_kernel ~interleave_seed:0 ~tool k in
       v.Runner.k_reports
 

@@ -128,6 +128,43 @@ let test_csv_export () =
   let c_files = Sys.readdir (Filename.concat dir "microbench_suite") in
   Alcotest.(check int) "all 154 codes emitted" 154 (Array.length c_files)
 
+(* A candidate record whose sample silently stopped emitting a baseline
+   metric must fail [--compare] and name the metric, exactly as a
+   dropped experiment does — otherwise the metric just stops being
+   tracked. *)
+let test_compare_fails_on_dropped_metric () =
+  let sample metrics =
+    {
+      Perf_trajectory.name = "fastpath";
+      wall_seconds = 0.5;
+      peak_rss_bytes = 0.0;
+      events_per_sec = 0.0;
+      critical_path_ms = 0.0;
+      metrics;
+    }
+  in
+  let record metrics =
+    {
+      Perf_trajectory.schema_version = Perf_trajectory.schema_version;
+      generator = "test";
+      scale = 0.02;
+      samples = [ sample metrics ];
+      counters = [];
+    }
+  in
+  let old_record =
+    record [ ("fastpath_finger_tree_ops", 10.0); ("fastpath_batch_tree_ops", 12.0) ]
+  in
+  let new_record = record [ ("fastpath_finger_tree_ops", 10.0) ] in
+  let body, failed = Perf_trajectory.render_comparison ~old_record ~new_record () in
+  Alcotest.(check bool) "comparison fails" true failed;
+  Alcotest.(check bool) "verdict names the dropped metric" true
+    (Astring.String.is_infix ~affix:"fastpath/fastpath_batch_tree_ops" body);
+  let _, failed' =
+    Perf_trajectory.render_comparison ~old_record:new_record ~new_record:old_record ()
+  in
+  Alcotest.(check bool) "a metric the baseline lacks is no failure" false failed'
+
 let test_csv_quoting () =
   Alcotest.(check string) "plain" "x" (Csv.escape_field "x");
   Alcotest.(check string) "comma" "\"a,b\"" (Csv.escape_field "a,b");
@@ -139,4 +176,6 @@ let suite =
   @ [
       Alcotest.test_case "csv export" `Slow test_csv_export;
       Alcotest.test_case "csv quoting" `Quick test_csv_quoting;
+      Alcotest.test_case "compare fails on a dropped metric" `Quick
+        test_compare_fails_on_dropped_metric;
     ]

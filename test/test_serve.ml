@@ -286,6 +286,83 @@ let test_interleaved_sessions_isolated () =
   in
   Alcotest.(check int) "both completed" 2 stats.Daemon.completed
 
+(* Per-session fault isolation with plans that actually fire: two
+   sessions at jobs 2, each with its own worker-crash plan, streamed one
+   line at a time in turn. Each session's verdict digest and the
+   worker_crash coordinates journaled under its run id must equal those
+   of the same session streamed alone — the injector belongs to the
+   session, so the other session's submits never move its ordinals. *)
+let test_interleaved_fault_plans_isolated () =
+  let nprocs, events = record_kernel racy_kernel in
+  let lines = trace_lines events in
+  let plans = [ ("fa", "seed=2,worker_crash=0.2"); ("fb", "seed=7,worker_crash=0.2") ] in
+  let journal = Filename.temp_file "serve_faults" ".jsonl" in
+  Rma_obs.Obs.enable ();
+  Rma_obs.Events.set_level Rma_obs.Events.Info;
+  Rma_obs.Events.set_sink journal;
+  Fun.protect
+    ~finally:(fun () ->
+      Rma_obs.Events.close ();
+      Rma_obs.Events.clear ();
+      Rma_obs.Obs.disable ();
+      Rma_obs.Obs.reset ();
+      try Sys.remove journal with Sys_error _ -> ())
+  @@ fun () ->
+  let open_session port (session, fault) =
+    let fd = connect port in
+    send_lines fd [ hello ~session ~jobs:2 ~fault ~nprocs () ];
+    match recv_line fd with
+    | Some l when line_type l = "admitted" -> (fd, Option.get (str_field "run_id" l))
+    | _ -> Alcotest.failf "%s not admitted" session
+  in
+  let finish (fd, run_id) =
+    (try Unix.shutdown fd Unix.SHUTDOWN_SEND with Unix.Unix_error _ -> ());
+    let reply = recv_all fd in
+    Unix.close fd;
+    (run_id, str_field "digest" (List.nth reply (List.length reply - 1)))
+  in
+  let alone = ref [] and together = ref [] in
+  ignore
+    (with_daemon @@ fun _d port ->
+     alone :=
+       List.map
+         (fun plan ->
+           let ((fd, _) as s) = open_session port plan in
+           send_lines fd lines;
+           finish s)
+         plans);
+  ignore
+    (with_daemon @@ fun _d port ->
+     let sessions = List.map (open_session port) plans in
+     List.iter (fun line -> List.iter (fun (fd, _) -> send_lines fd [ line ]) sessions) lines;
+     together := List.map finish sessions);
+  Rma_obs.Events.close ();
+  let journaled = (Rma_obs.Journal.read_file journal).Rma_obs.Journal.events in
+  let crashes run_id =
+    List.filter_map
+      (fun (e : Rma_obs.Events.t) ->
+        let kv k = List.assoc_opt k e.Rma_obs.Events.kv in
+        if e.Rma_obs.Events.run_id = run_id && kv "event" = Some "worker_crash" then
+          Some (kv "site", kv "ordinal", kv "seed")
+        else None)
+      journaled
+  in
+  let _, offline_digest = offline ~nprocs events in
+  List.iteri
+    (fun i (session, _) ->
+      let rid_alone, digest_alone = List.nth !alone i in
+      let rid_together, digest_together = List.nth !together i in
+      Alcotest.(check bool) (session ^ ": the plan fires alone") true (crashes rid_alone <> []);
+      Alcotest.(check (option string)) (session ^ ": crashes recovered, verdict intact")
+        (Some offline_digest) digest_alone;
+      Alcotest.(check (option string)) (session ^ ": digest unchanged by interleaving")
+        digest_alone digest_together;
+      Alcotest.(check bool) (session ^ ": crash coordinates unchanged by interleaving") true
+        (crashes rid_alone = crashes rid_together))
+    plans;
+  Alcotest.(check bool) "the two seeds crash differently" false
+    (crashes (fst (List.nth !alone 0)) = crashes (fst (List.nth !alone 1)))
+
 (* The soak: seeded churn of connect / abort / complete clients, then
    the leak audit — no live sessions, no extra pool domains, and the
    offline path still produces the pre-daemon digest (global fault,
@@ -499,6 +576,8 @@ let suite =
       test_admission_queue_and_shed;
     Alcotest.test_case "interleaved sessions stay isolated" `Quick
       test_interleaved_sessions_isolated;
+    Alcotest.test_case "interleaved fault plans fire per session" `Quick
+      test_interleaved_fault_plans_isolated;
     Alcotest.test_case "session churn soak leaks nothing" `Quick test_session_churn_soak;
     Alcotest.test_case "/metrics labels sessions by run id" `Quick test_metrics_label_sessions;
     Alcotest.test_case "push_bytes splits lines across chunks" `Quick test_push_bytes_splits_lines;
