@@ -28,6 +28,6 @@ let () =
       ("fault", Test_fault.suite);
       ("predictive", Test_predictive.suite);
       ("serve", Test_serve.suite);
-      ("config_matrix", Test_config_matrix.suite);
+      ("config", Test_config_matrix.suite);
       ("golden_regen", Golden_regen.suite);
     ]
