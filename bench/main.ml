@@ -414,7 +414,7 @@ let run_predictive ~run () =
    numbers are sessions/sec over the whole soak and the p99 verdict
    latency, measured client-side from the moment the trace footer is
    sent to the summary line arriving. *)
-let run_serve () =
+let run_serve ~run () =
   section "Serve daemon soak";
   let module Daemon = Rma_serve.Daemon in
   let module Codec = Rma_trace.Codec in
@@ -453,7 +453,9 @@ let run_serve () =
     go ();
     Buffer.contents b
   in
-  let daemon = Daemon.create ~config:{ Daemon.default_config with Daemon.max_sessions = 4 } () in
+  let daemon =
+    Daemon.create ~config:{ Daemon.default_config with Daemon.max_sessions = 4 } ~run ()
+  in
   Daemon.start daemon;
   let sessions = 40 in
   let latencies = ref [] in
@@ -663,7 +665,7 @@ let () =
     | "micro" -> run_micro ~run ()
     | "hybrid" -> run_hybrid ~run ()
     | "predictive" -> run_predictive ~run ()
-    | "serve" -> run_serve ()
+    | "serve" -> run_serve ~run ()
     | "all" -> []
     | other ->
         Printf.eprintf

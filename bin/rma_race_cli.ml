@@ -649,8 +649,9 @@ let serve_cmd =
              answered with a $(b,load_shed) line and closed.")
   in
   let run obs port socket max_sessions accept_queue =
-    (* Sessions take their settings from their handshakes only. *)
-    with_diag ~workload:("serve", []) obs @@ fun _run ->
+    (* The run config is every session's default; a hello overrides it
+       field by field. *)
+    with_diag ~workload:("serve", []) obs @@ fun run ->
     let module D = Rma_serve.Daemon in
     let addr =
       match (socket, port) with
@@ -668,7 +669,7 @@ let serve_cmd =
     in
     Sys.set_signal Sys.sigint (Sys.Signal_handle stop);
     Sys.set_signal Sys.sigterm (Sys.Signal_handle stop);
-    let daemon = D.create ~config:{ D.addr; max_sessions; accept_queue } () in
+    let daemon = D.create ~config:{ D.addr; max_sessions; accept_queue } ~run () in
     running := Some daemon;
     if !stopped_early then D.request_stop daemon;
     (match D.address daemon with

@@ -7,9 +7,9 @@ type t = {
 
 let default = { jobs = 1; predictive = false; budget = None; fault = None }
 
-let make ?(jobs = 1) ?(predictive = false) ?budget ?fault () =
+let make ?(jobs = default.jobs) ?(predictive = default.predictive) ?budget ?fault () =
   {
-    jobs = max 1 (min Rma_par.max_jobs jobs);
+    jobs = Rma_par.clamp_jobs jobs;
     predictive;
     budget;
     fault = Option.map Rma_fault.create fault;

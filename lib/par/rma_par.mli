@@ -60,6 +60,10 @@ val max_jobs : int
     append-only, so it is bounded far below the OCaml runtime's domain
     limit). Requests beyond it are clamped. *)
 
+val clamp_jobs : int -> int
+(** A shard-count request clamped to [1 .. max_jobs], as {!create}
+    applies it. *)
+
 val pool_size : unit -> int
 (** Worker domains spawned into the process-global pool so far. The
     pool is append-only and bounded by {!max_jobs}, so a long-running

@@ -43,6 +43,7 @@ type t = {
   lsock : Unix.file_descr;
   bound : addr;
   daemon_run_id : string;
+  defaults : Run_config.t;  (* what a hello leaves out *)
   mutable sessions : Session.t list;  (* accept order; loop thread only *)
   mutable next_id : int;
   mutable rotate : int;
@@ -157,12 +158,18 @@ and send t (s : Session.t) line =
 
 and admit t (s : Session.t) (h : Protocol.hello) =
   s.Session.run_id <- Printf.sprintf "%s-s%d" t.daemon_run_id s.Session.id;
-  (* The handshake is this session's run config: a private fault
-     injector starting at ordinal 0, and fixed defaults for whatever the
-     client left out. *)
+  (* The handshake is this session's run config; whatever the client
+     left out comes from the daemon's. A fault plan gets a private
+     injector starting at ordinal 0. *)
+  let d = t.defaults in
+  let either hello daemon = match hello with Some _ -> hello | None -> daemon in
   let run =
-    Run_config.make ?jobs:h.Protocol.jobs ?predictive:h.Protocol.predictive
-      ?budget:h.Protocol.budget ?fault:h.Protocol.fault ()
+    Run_config.make
+      ~jobs:(Option.value h.Protocol.jobs ~default:d.Run_config.jobs)
+      ~predictive:(Option.value h.Protocol.predictive ~default:d.Run_config.predictive)
+      ?budget:(either h.Protocol.budget d.Run_config.budget)
+      ?fault:(either h.Protocol.fault (Option.map Rma_fault.plan_of d.Run_config.fault))
+      ()
   in
   s.Session.tool <- Some (Run_config.tool run h.Protocol.tool ~nprocs:h.Protocol.nprocs ());
   if s.Session.phase = Session.Queued then Atomic.decr t.g_queued;
@@ -389,7 +396,7 @@ let step t =
         (fun s -> if Session.is_open s && List.mem s.Session.fd ready then service t s)
         in_order
 
-let create ?(config = default_config) () =
+let create ?(config = default_config) ?(run = Run_config.default) () =
   (* Writes to a crashed client must surface as EPIPE, not kill the
      daemon. *)
   (try Sys.set_signal Sys.sigpipe Sys.Signal_ignore with Invalid_argument _ -> ());
@@ -428,6 +435,7 @@ let create ?(config = default_config) () =
       lsock;
       bound;
       daemon_run_id = Events.run_id ();
+      defaults = run;
       sessions = [];
       next_id = 1;
       rotate = 0;

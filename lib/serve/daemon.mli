@@ -14,8 +14,8 @@
     never grows past the largest request ({!Rma_par.pool_size}).
 
     {b Isolation.} The handshake is the session's run config
-    ({!Rma_analysis.Run_config}; omitted fields take the fixed defaults,
-    never the daemon's own flags). Each admitted session gets its own
+    ({!Rma_analysis.Run_config}; omitted fields take the daemon's own
+    [run], see {!create}). Each admitted session gets its own
     detector tool (stores, budget, shard engine), its own run_id
     (["<daemon>-s<n>"], labelling journal records and the
     [rma_session_info] metric via {!Rma_obs.Sessions}), and its own
@@ -55,9 +55,12 @@ val default_config : config
 
 type t
 
-val create : ?config:config -> unit -> t
+val create : ?config:config -> ?run:Rma_analysis.Run_config.t -> unit -> t
 (** Bind and listen (raising [Unix.Unix_error] if the address is
-    taken), ignore SIGPIPE, and journal a [serve_start] record. An
+    taken), ignore SIGPIPE, and journal a [serve_start] record. [run]
+    (default {!Rma_analysis.Run_config.default}) fills every setting a
+    session's hello leaves out; its fault plan is only a template —
+    each session gets a fresh injector starting at ordinal 0. An
     ephemeral TCP request prints [serve-port: <port>] on stderr — the
     line scripted callers scrape, mirroring [obs-serve-port]. The loop
     does not run yet: call {!run} (blocking) or {!start}. *)

@@ -20,8 +20,8 @@ val version : int
     detector; [nprocs] is the simulated rank count the trace was
     recorded with (required — detector state is sized before the first
     event arrives). The remaining knobs mirror the offline CLI flags
-    and form the session's run config; an omitted one takes the fixed
-    default of {!Rma_analysis.Run_config.default}:
+    and form the session's run config; an omitted one takes the
+    daemon's own setting (its [serve] flags, see {!Daemon.create}):
     [jobs] (shard count), [predictive], [budget] (a
     {!Rma_fault.Budget.of_spec} string), and [fault] (a
     {!Rma_fault.Plan.of_spec} string applied to this session only).

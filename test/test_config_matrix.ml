@@ -1,10 +1,18 @@
-(* The configuration matrix: every analysis setting that a user can
-   change without changing a verdict, run in-process over the corpora
-   whose tools take their configuration from a run config.
+(* The configuration matrix: the analysis settings that change no
+   verdict and that no other sweep already covers, run in-process over
+   the corpora whose tools take their configuration from a run config.
 
-   Each cell is one run configuration; each corpus is checked against
-   the default configuration (jobs 1, observed-only, unbounded, no
-   faults) under three invariants:
+   Jobs 4 and the interleave seeds 13 and 29 are swept where their
+   corpora live: the suite (with Tables 2/3) and the base and hybrid
+   kernels at jobs 4 in test_par, the goldens at jobs 4 in test_par,
+   test_export and test_predictive, base and hybrid kernels under each
+   interleave seed at jobs 1/2/4 in test_differential and
+   test_microbench, and the 27-kernel predictive matrix under each seed
+   in test_predictive. What is left is one cell per remaining setting:
+   predictive mode, and a fault plan that really fires at jobs 4.
+
+   Each cell is checked against the default configuration (jobs 1,
+   observed-only, unbounded, no faults) under three invariants:
 
    - verdict digests equal the default configuration's (observed
      reports only when the cell is predictive);
@@ -12,13 +20,12 @@
    - every golden export is byte-identical.
 
    The corpora: the 154-code suite (with the Table 2/3 tool rows), the
-   rrb_/hyb_/prd_ kernel labels, the race.sarif / explain.txt /
-   race_degraded.sarif / race_hybrid.json / race_predicted.json goldens,
-   a diagnosed drill journal that [obs replay] must reproduce, and the
-   differential and oracle access streams fed straight to the analyzer.
-   The interleave seed only reaches [Runner.run_kernel], so the
-   interleave cells run the kernel corpora (the suite and streams at
-   jobs 4 are the jobs-4 cell's). *)
+   race.sarif / explain.txt / race_degraded.sarif / race_hybrid.json /
+   race_predicted.json goldens, a diagnosed drill journal that
+   [obs replay] must reproduce, and the differential and oracle access
+   streams fed straight to the analyzer; the fault cell also runs the
+   rrb_/hyb_ kernel labels (test_predictive already runs them, and the
+   prd_ labels, in predictive mode). *)
 
 open Rma_analysis
 open Rma_microbench
@@ -26,26 +33,17 @@ module Json = Rma_util.Json
 module Race_export = Rma_report.Race_export
 module Event = Mpi_sim.Event
 
-type cell = {
-  label : string;
-  jobs : int;
-  interleave : int option;
-  predictive : bool;
-  fault : string option;
-}
-
-let cell ?(jobs = 1) ?interleave ?(predictive = false) ?fault label =
-  { label; jobs; interleave; predictive; fault }
+type cell = { label : string; jobs : int; predictive : bool; fault : string option }
 
 let cells =
   [
-    cell "jobs 4" ~jobs:4;
-    cell "interleave 13, jobs 1" ~interleave:13;
-    cell "interleave 13, jobs 4" ~interleave:13 ~jobs:4;
-    cell "interleave 29, jobs 1" ~interleave:29;
-    cell "interleave 29, jobs 4" ~interleave:29 ~jobs:4;
-    cell "predictive" ~predictive:true;
-    cell "fault plan, jobs 4" ~jobs:4 ~fault:"seed=7,worker_crash=0.05,queue_overflow=0.02";
+    { label = "predictive"; jobs = 1; predictive = true; fault = None };
+    {
+      label = "fault plan, jobs 4";
+      jobs = 4;
+      predictive = false;
+      fault = Some "seed=7,worker_crash=0.05,queue_overflow=0.02";
+    };
   ]
 
 (* One run config, and so one fresh injector, per corpus run. *)
@@ -99,56 +97,21 @@ let check_suite c =
 
 (* --- kernel labels ----------------------------------------------------- *)
 
-let kernel_verdict run ?interleave_seed (k : Scenario.Kernel.t) =
-  let tool = Run_config.tool run Toolbox.Contribution ~nprocs:k.Scenario.Kernel.k_nprocs () in
-  Runner.run_kernel ?interleave_seed ~tool k
-
-(* Default-configuration digests per interleave seed, computed once. *)
-let kernel_reference =
-  let memo = Hashtbl.create 4 in
-  fun ?interleave_seed (k : Scenario.Kernel.t) ->
-    let key = (interleave_seed, k.Scenario.Kernel.k_name) in
-    match Hashtbl.find_opt memo key with
-    | Some d -> d
-    | None ->
-        let d = digest (kernel_verdict Run_config.default ?interleave_seed k).Runner.k_reports in
-        Hashtbl.replace memo key d;
-        d
-
 let check_kernels c =
-  let interleave_seed = c.interleave in
-  (* Base and hybrid kernels, under the cell and again with predictive
-     mode on: labels hold, the observed verdict is the default's, and
-     schedule-stable kernels predict nothing. *)
-  List.iter
-    (fun predictive ->
-      let run = { (run_config c) with Run_config.predictive } in
-      List.iter
-        (fun (k : Scenario.Kernel.t) ->
-          let v = kernel_verdict run ?interleave_seed k in
-          let name = Printf.sprintf "[%s%s] %s" c.label
-              (if predictive then ", predictive" else "") k.Scenario.Kernel.k_name in
-          Alcotest.(check bool) (name ^ " label") k.Scenario.Kernel.k_racy v.Runner.k_flagged;
-          Alcotest.(check string) (name ^ " digest") (kernel_reference ?interleave_seed k)
-            (digest v.Runner.k_reports);
-          if List.exists (fun p -> p.Runner.pair_predicted) v.Runner.k_pairs then
-            Alcotest.failf "%s: unexpected predicted pair" name)
-        (Scenario.Kernel.all @ Scenario.Kernel.hybrid))
-    (List.sort_uniq compare [ c.predictive; true ]);
-  (* prd_ kernels: predictive at interleave seed 0, where the observed
-     analysis misses every racy one. *)
-  let run = { (run_config c) with Run_config.predictive = true } in
-  let reference = { Run_config.default with Run_config.predictive = true } in
+  let run = run_config c in
   List.iter
     (fun (k : Scenario.Kernel.t) ->
-      let v = kernel_verdict run ~interleave_seed:0 k in
-      let v0 = kernel_verdict reference ~interleave_seed:0 k in
+      let verdict run =
+        let nprocs = k.Scenario.Kernel.k_nprocs in
+        Runner.run_kernel ~tool:(Run_config.tool run Toolbox.Contribution ~nprocs ()) k
+      in
+      let v = verdict run in
       let name = Printf.sprintf "[%s] %s" c.label k.Scenario.Kernel.k_name in
       Alcotest.(check bool) (name ^ " label") k.Scenario.Kernel.k_racy v.Runner.k_flagged;
-      Alcotest.(check string) (name ^ " digest, predictions included")
-        (Race_export.verdict_digest v0.Runner.k_reports)
-        (Race_export.verdict_digest v.Runner.k_reports))
-    Scenario.Kernel.predictive
+      Alcotest.(check string) (name ^ " digest")
+        (digest (verdict Run_config.default).Runner.k_reports)
+        (digest v.Runner.k_reports))
+    (Scenario.Kernel.all @ Scenario.Kernel.hybrid)
 
 (* --- goldens ----------------------------------------------------------- *)
 
@@ -287,12 +250,10 @@ let check_streams c =
 (* --- the matrix -------------------------------------------------------- *)
 
 let test_cell c () =
-  check_kernels c;
-  if c.interleave = None then begin
-    check_suite c;
-    check_goldens c;
-    check_journal c;
-    check_streams c
-  end
+  if c.fault <> None then check_kernels c;
+  check_suite c;
+  check_goldens c;
+  check_journal c;
+  check_streams c
 
 let suite = List.map (fun c -> Alcotest.test_case c.label `Quick (test_cell c)) cells

@@ -335,7 +335,8 @@ let hybrid_verdict ~interleave_seed ~jobs (k : Scenario.Kernel.t) =
     Rma_util.Json.to_string (Rma_report.Race_export.to_json ~generator:"diff" reports) )
 
 (* Same interleave seed => byte-identical verdicts, digests and JSON
-   exports whether the analyzer shards across 1, 2 or 4 workers. *)
+   exports whether the analyzer shards across 1, 2 or 4 workers, for
+   the base and the hybrid kernels. *)
 let test_interleave_determinism_across_jobs () =
   List.iter
     (fun (k : Scenario.Kernel.t) ->
@@ -355,7 +356,7 @@ let test_interleave_determinism_across_jobs () =
               Alcotest.(check string) (label ^ " json") json_r json)
             [ 2; 4 ])
         [ 13; 29 ])
-    Scenario.Kernel.hybrid
+    (Scenario.Kernel.all @ Scenario.Kernel.hybrid)
 
 (* Ground-truth labels survive a 50-seed interleaving sweep: no hybrid
    kernel's verdict depends on the schedule. *)
@@ -372,12 +373,17 @@ let test_interleave_label_stable_across_seeds () =
 
 (* A decoupled interleave seed must not change data-level behaviour for
    thread-free programs: the whole pre-hybrid corpus keeps its verdict
-   under an aggressive schedule shuffle. *)
+   under aggressive schedule shuffles. *)
 let test_interleave_preserves_single_thread_verdicts () =
   List.iter
     (fun (k : Scenario.Kernel.t) ->
-      let reference, _, _ = hybrid_verdict ~interleave_seed:13 ~jobs:1 k in
-      Alcotest.(check bool) k.Scenario.Kernel.k_name k.Scenario.Kernel.k_racy reference)
+      List.iter
+        (fun interleave_seed ->
+          let reference, _, _ = hybrid_verdict ~interleave_seed ~jobs:1 k in
+          Alcotest.(check bool)
+            (Printf.sprintf "%s interleave=%d" k.Scenario.Kernel.k_name interleave_seed)
+            k.Scenario.Kernel.k_racy reference)
+        [ 13; 29 ])
     Scenario.Kernel.all
 
 let suite =

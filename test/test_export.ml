@@ -234,7 +234,10 @@ let test_degraded_sarif_matches_golden () =
   Alcotest.(check bool) "confidence property present" true
     (Astring.String.is_infix ~affix:"\"confidence\": \"downgraded\"" sarif);
   Golden_regen.check ~name:"race_degraded.sarif" ~what:"degraded SARIF matches golden file"
-    sarif
+    sarif;
+  let reports4, _ = degraded_race_reports ~run:(Run_config.make ~jobs:4 ()) () in
+  Alcotest.(check string) "degraded SARIF stable at jobs=4" sarif
+    (Json.to_string (Race_export.to_sarif ~generator:"test" reports4) ^ "\n")
 
 let test_sarif_lists_all_locations () =
   let reports = with_recorder code1_race_reports in
@@ -462,7 +465,10 @@ let test_hybrid_json_matches_golden () =
   let reports = with_recorder hybrid_race_reports in
   Alcotest.(check bool) "hybrid race found" true (reports <> []);
   let json = Json.to_string (Race_export.to_json ~generator:"test" reports) ^ "\n" in
-  Golden_regen.check ~name:"race_hybrid.json" ~what:"hybrid race JSON matches golden file" json
+  Golden_regen.check ~name:"race_hybrid.json" ~what:"hybrid race JSON matches golden file" json;
+  let reports4 = with_recorder (hybrid_race_reports ~run:(Run_config.make ~jobs:4 ())) in
+  Alcotest.(check string) "hybrid race JSON stable at jobs=4" json
+    (Json.to_string (Race_export.to_json ~generator:"test" reports4) ^ "\n")
 
 let test_explain_names_thread () =
   let reports = with_recorder hybrid_race_reports in

@@ -2,8 +2,9 @@
    integration: the engine contract (clamping, shard stability, FIFO
    order, barrier drain, exception stashing, critical-path accounting),
    a soak test under maximum back-pressure (queue_capacity = 1),
-   byte-identity sweeps of the full 154-code suite and the
-   kernel corpus at jobs = 4, and golden-file stability of the
+   byte-identity sweeps of the full 154-code suite (with the paper's
+   Tables 2 and 3) and the base and hybrid kernel corpora at jobs = 4,
+   and golden-file stability of the
    provenance pipeline under sharded execution. *)
 
 open Rma_access
@@ -12,6 +13,7 @@ open Rma_microbench
 module Event = Mpi_sim.Event
 module Json = Rma_util.Json
 module Race_export = Rma_report.Race_export
+module Experiments = Rma_report.Experiments
 
 (* --- engine contract ------------------------------------------------ *)
 
@@ -187,7 +189,13 @@ let test_suite_sweep_jobs4 () =
       if not (String.equal j1 j4) then
         Alcotest.failf "%s: reports not byte-identical at jobs=4" sc.Scenario.name)
     Scenario.all;
-  Alcotest.(check int) "whole suite swept" 154 (List.length Scenario.all)
+  Alcotest.(check int) "whole suite swept" 154 (List.length Scenario.all);
+  (* The paper's tables, every tool row built from a jobs-4 run config. *)
+  let run = Run_config.make ~jobs:4 () in
+  Alcotest.(check bool) "Table 2 verdicts at jobs=4" true
+    (fst (Experiments.table2 ~run ()) = fst (Experiments.table2 ()));
+  Alcotest.(check bool) "Table 3 confusion counts at jobs=4" true
+    (fst (Experiments.table3 ~run ()) = fst (Experiments.table3 ()))
 
 let test_kernel_sweep_jobs4 () =
   Rma_store.Flight_recorder.enable ();
@@ -205,7 +213,7 @@ let test_kernel_sweep_jobs4 () =
       let j1 = reports_json v1.Runner.k_reports and j4 = reports_json v4.Runner.k_reports in
       if not (String.equal j1 j4) then
         Alcotest.failf "%s: kernel reports not byte-identical at jobs=4" k.Scenario.Kernel.k_name)
-    Scenario.Kernel.all
+    (Scenario.Kernel.all @ Scenario.Kernel.hybrid)
 
 (* --- golden stability under sharded execution ----------------------- *)
 

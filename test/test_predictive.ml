@@ -86,7 +86,8 @@ let test_prd_corpus_shape () =
 
 (* Predictive mode must not cost a single label on the schedule-stable
    corpus: every base and hybrid kernel keeps its ground-truth verdict at
-   jobs 1, 2 and 4, and produces no predicted pairs at all — their
+   jobs 1, 2 and 4, under the default schedule and interleave seeds 13
+   and 29, and produces no predicted pairs at all — their
    conflicts live inside one epoch, where the weak trees hold exactly
    the observed content and every conflict dedups against the observed
    report. *)
@@ -96,20 +97,25 @@ let test_matrix_labels_under_predictive () =
   List.iter
     (fun (k : Scenario.Kernel.t) ->
       List.iter
-        (fun jobs ->
-          let tool = mk_tool ~nprocs:k.Scenario.Kernel.k_nprocs ~jobs ~predictive:true () in
-          let v = Runner.run_kernel ~tool k in
-          Alcotest.(check bool)
-            (Printf.sprintf "%s (predictive, jobs=%d)" k.Scenario.Kernel.k_name jobs)
-            k.Scenario.Kernel.k_racy v.Runner.k_flagged;
+        (fun interleave_seed ->
           List.iter
-            (fun p ->
-              if p.Runner.pair_predicted then
-                Alcotest.failf "%s (predictive, jobs=%d): unexpected predicted pair %s"
-                  k.Scenario.Kernel.k_name jobs
-                  (pair_str (Runner.pair_sites p)))
-            v.Runner.k_pairs)
-        [ 1; 2; 4 ])
+            (fun jobs ->
+              let tool = mk_tool ~nprocs:k.Scenario.Kernel.k_nprocs ~jobs ~predictive:true () in
+              let v = Runner.run_kernel ?interleave_seed ~tool k in
+              let name =
+                Printf.sprintf "%s (predictive, jobs=%d, interleave=%s)" k.Scenario.Kernel.k_name
+                  jobs
+                  (match interleave_seed with None -> "-" | Some i -> string_of_int i)
+              in
+              Alcotest.(check bool) name k.Scenario.Kernel.k_racy v.Runner.k_flagged;
+              List.iter
+                (fun p ->
+                  if p.Runner.pair_predicted then
+                    Alcotest.failf "%s: unexpected predicted pair %s" name
+                      (pair_str (Runner.pair_sites p)))
+                v.Runner.k_pairs)
+            [ 1; 2; 4 ])
+        [ None; Some 13; Some 29 ])
     kernels
 
 (* --- prd_ labels ------------------------------------------------------ *)
@@ -305,7 +311,10 @@ let test_predicted_json_matches_golden () =
      test/golden_regen.ml) regenerates the golden file instead of
      comparing. *)
   Golden_regen.check ~name:"race_predicted.json"
-    ~what:"predicted race JSON matches golden file" json
+    ~what:"predicted race JSON matches golden file" json;
+  let reports4 = with_recorder (predicted_race_reports ~run:(Run_config.make ~jobs:4 ())) in
+  Alcotest.(check string) "predicted race JSON stable at jobs=4" json
+    (Json.to_string (Race_export.to_json ~generator:"test" reports4) ^ "\n")
 
 let suite =
   [

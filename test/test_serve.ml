@@ -131,10 +131,10 @@ let await ?(deadline = 5.0) what cond =
   in
   go deadline
 
-let with_daemon ?(max_sessions = 4) ?(accept_queue = 8) f =
+let with_daemon ?(max_sessions = 4) ?(accept_queue = 8) ?run f =
   Sessions.reset ();
   let d =
-    Daemon.create ~config:{ Daemon.addr = Daemon.Tcp 0; max_sessions; accept_queue } ()
+    Daemon.create ~config:{ Daemon.addr = Daemon.Tcp 0; max_sessions; accept_queue } ?run ()
   in
   Daemon.start d;
   Fun.protect ~finally:(fun () -> Daemon.stop d) (fun () -> f d (Daemon.port d));
@@ -321,9 +321,13 @@ let test_interleaved_fault_plans_isolated () =
     Unix.close fd;
     (run_id, str_field "digest" (List.nth reply (List.length reply - 1)))
   in
+  (* Each phase runs under its own daemon run id, so session run ids
+     (<daemon>-s1, <daemon>-s2) and their journaled crashes never mix
+     across phases. *)
   let alone = ref [] and together = ref [] in
   ignore
-    (with_daemon @@ fun _d port ->
+    (Rma_obs.Events.with_run_id "alone" @@ fun () ->
+     with_daemon @@ fun _d port ->
      alone :=
        List.map
          (fun plan ->
@@ -332,7 +336,8 @@ let test_interleaved_fault_plans_isolated () =
            finish s)
          plans);
   ignore
-    (with_daemon @@ fun _d port ->
+    (Rma_obs.Events.with_run_id "together" @@ fun () ->
+     with_daemon @@ fun _d port ->
      let sessions = List.map (open_session port) plans in
      List.iter (fun line -> List.iter (fun (fd, _) -> send_lines fd [ line ]) sessions) lines;
      together := List.map finish sessions);
@@ -352,7 +357,11 @@ let test_interleaved_fault_plans_isolated () =
     (fun i (session, _) ->
       let rid_alone, digest_alone = List.nth !alone i in
       let rid_together, digest_together = List.nth !together i in
+      Alcotest.(check bool) (session ^ ": phases journal under distinct run ids") true
+        (rid_alone <> rid_together);
       Alcotest.(check bool) (session ^ ": the plan fires alone") true (crashes rid_alone <> []);
+      Alcotest.(check bool) (session ^ ": the plan fires interleaved") true
+        (crashes rid_together <> []);
       Alcotest.(check (option string)) (session ^ ": crashes recovered, verdict intact")
         (Some offline_digest) digest_alone;
       Alcotest.(check (option string)) (session ^ ": digest unchanged by interleaving")
@@ -426,6 +435,34 @@ let test_session_churn_soak () =
      unchanged — per-session budgets and fault plans never escaped. *)
   let _, digest_after = offline ~nprocs events_r in
   Alcotest.(check string) "offline digest unchanged after the churn" digest_r digest_after
+
+(* The daemon's own run config is every session's default: started
+   with a one-node fail-fast budget, a hello that names no budget runs
+   under that cap and is closed when the store outgrows it (the clean
+   kernel's two disjoint puts need two nodes), while a hello naming its
+   own budget overrides it and completes. *)
+let test_daemon_settings_fill_hello () =
+  let nprocs, events = record_kernel clean_kernel in
+  let lines = trace_lines events in
+  let _, digest = offline ~nprocs events in
+  let tight = Result.get_ok (Rma_fault.Budget.of_spec "1:fail") in
+  let run = Rma_analysis.Run_config.make ~budget:tight () in
+  let stats =
+    with_daemon ~run @@ fun _d port ->
+    let capped = run_session ~port ~session:"capped" ~nprocs lines in
+    let last = List.nth capped (List.length capped - 1) in
+    Alcotest.(check string) "no budget in the hello: closed by the daemon's cap" "error"
+      (line_type last);
+    Alcotest.(check bool) "the reason names the budget" true
+      (match str_field "reason" last with
+      | Some r -> String.starts_with ~prefix:"budget exhausted" r
+      | None -> false);
+    let own = run_session ~budget:"100000:fail" ~port ~session:"own" ~nprocs lines in
+    Alcotest.(check (option string)) "a hello budget overrides the daemon's" (Some digest)
+      (str_field "digest" (List.nth own (List.length own - 1)))
+  in
+  Alcotest.(check int) "one completed, one failed" 1 stats.Daemon.completed;
+  Alcotest.(check int) "the capped session failed" 1 stats.Daemon.failed
 
 let test_metrics_label_sessions () =
   let nprocs, events = record_kernel racy_kernel in
@@ -579,6 +616,8 @@ let suite =
     Alcotest.test_case "interleaved fault plans fire per session" `Quick
       test_interleaved_fault_plans_isolated;
     Alcotest.test_case "session churn soak leaks nothing" `Quick test_session_churn_soak;
+    Alcotest.test_case "daemon settings fill what a hello omits" `Quick
+      test_daemon_settings_fill_hello;
     Alcotest.test_case "/metrics labels sessions by run id" `Quick test_metrics_label_sessions;
     Alcotest.test_case "push_bytes splits lines across chunks" `Quick test_push_bytes_splits_lines;
     Alcotest.test_case "an endless line closes only its own session" `Quick
