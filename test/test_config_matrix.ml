@@ -3,8 +3,9 @@
    the corpora whose tools take their configuration from a run config.
 
    Jobs 4 and the interleave seeds 13 and 29 are swept where their
-   corpora live: the suite (with Tables 2/3) and the base and hybrid
-   kernels at jobs 4 in test_par, the goldens at jobs 4 in test_par,
+   corpora live: the suite and the base and hybrid kernels at jobs 4 in
+   test_par, Tables 2/3 at jobs 4 in test_report, the goldens at jobs 4
+   in test_par,
    test_export and test_predictive, base and hybrid kernels under each
    interleave seed at jobs 1/2/4 in test_differential and
    test_microbench, and the 27-kernel predictive matrix under each seed
@@ -73,8 +74,6 @@ let suite_digests run =
     Scenario.all
 
 let suite_reference = lazy (suite_digests Run_config.default)
-let tables_reference = lazy (Rma_report.Experiments.(fst (table2 ()), fst (table3 ())))
-
 let check_suite c =
   let run = run_config c in
   List.iter2
@@ -89,11 +88,8 @@ let check_suite c =
       Alcotest.(check bool) (c.label ^ ": queue overflows fired") true
         (Rma_fault.fired inj Rma_fault.Queue_overflow > 0))
     run.Run_config.fault;
-  let table2, table3 = Lazy.force tables_reference in
-  Alcotest.(check bool) (c.label ^ ": Table 2 verdicts") true
-    (fst (Rma_report.Experiments.table2 ~run ()) = table2);
-  Alcotest.(check bool) (c.label ^ ": Table 3 confusion counts") true
-    (fst (Rma_report.Experiments.table3 ~run ()) = table3)
+  Test_report.check_table2 ~run ();
+  Test_report.check_table3 ~run ()
 
 (* --- kernel labels ----------------------------------------------------- *)
 

@@ -22,7 +22,7 @@ let with_recorder f =
    by the Put's fragment (Table 1) and every piece merges back into one
    [2..12] node carrying only the Put's debug info, then Store(7) races
    against it. The canonical provenance-loss case. [run] is the
-   analysis configuration (test_config_matrix sweeps it). *)
+   analysis configuration (the jobs-4 and config-matrix tests vary it). *)
 let code1_race_reports ?(run = Run_config.default) () =
   let tool = Run_config.tool run Toolbox.Contribution ~nprocs:2 () in
   let feed e = ignore (tool.Tool.observer e) in

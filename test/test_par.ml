@@ -2,9 +2,8 @@
    integration: the engine contract (clamping, shard stability, FIFO
    order, barrier drain, exception stashing, critical-path accounting),
    a soak test under maximum back-pressure (queue_capacity = 1),
-   byte-identity sweeps of the full 154-code suite (with the paper's
-   Tables 2 and 3) and the base and hybrid kernel corpora at jobs = 4,
-   and golden-file stability of the
+   byte-identity sweeps of the full 154-code suite and the base and
+   hybrid kernel corpora at jobs = 4, and golden-file stability of the
    provenance pipeline under sharded execution. *)
 
 open Rma_access
@@ -13,7 +12,6 @@ open Rma_microbench
 module Event = Mpi_sim.Event
 module Json = Rma_util.Json
 module Race_export = Rma_report.Race_export
-module Experiments = Rma_report.Experiments
 
 (* --- engine contract ------------------------------------------------ *)
 
@@ -189,13 +187,7 @@ let test_suite_sweep_jobs4 () =
       if not (String.equal j1 j4) then
         Alcotest.failf "%s: reports not byte-identical at jobs=4" sc.Scenario.name)
     Scenario.all;
-  Alcotest.(check int) "whole suite swept" 154 (List.length Scenario.all);
-  (* The paper's tables, every tool row built from a jobs-4 run config. *)
-  let run = Run_config.make ~jobs:4 () in
-  Alcotest.(check bool) "Table 2 verdicts at jobs=4" true
-    (fst (Experiments.table2 ~run ()) = fst (Experiments.table2 ()));
-  Alcotest.(check bool) "Table 3 confusion counts at jobs=4" true
-    (fst (Experiments.table3 ~run ()) = fst (Experiments.table3 ()))
+  Alcotest.(check int) "whole suite swept" 154 (List.length Scenario.all)
 
 let test_kernel_sweep_jobs4 () =
   Rma_store.Flight_recorder.enable ();

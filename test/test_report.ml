@@ -3,8 +3,10 @@ open Rma_report
 (* Fast experiments only: the table/figure sweeps over many ranks run in
    the bench executable; here we pin the cheap ones end to end. *)
 
-let test_table2_matches_paper () =
-  let rows, rendered = Experiments.table2 () in
+(* The paper's Tables 2 and 3 under a run config: every tool row must
+   read as published whatever the (verdict-preserving) configuration. *)
+let check_table2 ?run () =
+  let rows, rendered = Experiments.table2 ?run () in
   Alcotest.(check int) "four codes" 4 (List.length rows);
   Alcotest.(check bool) "rendered" true (String.length rendered > 0);
   List.iter
@@ -23,8 +25,8 @@ let test_table2_matches_paper () =
         r.Experiments.contribution)
     rows
 
-let test_table3_matches_paper () =
-  let rows, _ = Experiments.table3 () in
+let check_table3 ?run () =
+  let rows, _ = Experiments.table3 ?run () in
   let find name =
     List.find (fun (r : Experiments.confusion_row) -> r.Experiments.tool = name) rows
   in
@@ -39,6 +41,17 @@ let test_table3_matches_paper () =
   let legacy = find "RMA-Analyzer" in
   Alcotest.(check bool) "legacy FP/FN as published" true
     (legacy.Experiments.fp = 6 && legacy.Experiments.fn = 0)
+
+(* Sequential, and with every tool row built from a jobs-4 run config. *)
+let jobs4 = Rma_analysis.Run_config.make ~jobs:4 ()
+
+let test_table2_matches_paper () =
+  check_table2 ();
+  check_table2 ~run:jobs4 ()
+
+let test_table3_matches_paper () =
+  check_table3 ();
+  check_table3 ~run:jobs4 ()
 
 let test_fig5_text_complete () =
   let text = Experiments.fig5 () in
